@@ -64,11 +64,12 @@ DataFrame IndexedDataFrame::ToDataFrame() const {
 }
 
 DataFrame IndexedDataFrame::PinnedView::ToDataFrame() const {
-  return DataFrame(session_, std::make_shared<SnapshotScanNode>(snapshot_));
+  return DataFrame(session_,
+                   std::make_shared<IndexedScanNode>(RelationRead(rel_, snapshot_)));
 }
 
 IndexedDataFrame::PinnedView IndexedDataFrame::Pin() const {
-  return PinnedView(session_, rel_->Pin());
+  return PinnedView(session_, rel_, rel_->Pin());
 }
 
 Result<DataFrame> IndexedDataFrame::Join(const DataFrame& probe, ExprPtr indexed_key,

@@ -86,9 +86,13 @@ class IndexedDataFrame {
 
    private:
     friend class IndexedDataFrame;
-    PinnedView(SessionPtr session, PinnedSnapshotPtr snapshot)
-        : session_(std::move(session)), snapshot_(std::move(snapshot)) {}
+    PinnedView(SessionPtr session, IndexedRelationPtr rel,
+               PinnedSnapshotPtr snapshot)
+        : session_(std::move(session)),
+          rel_(std::move(rel)),
+          snapshot_(std::move(snapshot)) {}
     SessionPtr session_;
+    IndexedRelationPtr rel_;
     PinnedSnapshotPtr snapshot_;
   };
 

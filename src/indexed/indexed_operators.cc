@@ -552,7 +552,7 @@ void FlushBuildCandidates(const VectorizedPredicate& vec, BuildCandidates* cand,
   cand->Clear();
 }
 
-/// Shared driver for point lookups (live and pinned): each key routes to
+/// Point-lookup driver: each key routes to
 /// its home partition and the backward-pointer chain is walked, applying a
 /// pushed filter while each node is cache-hot — the compiled part against
 /// the encoded payload (rejects never decode), the residual on the decoded
@@ -624,17 +624,26 @@ Result<PartitionVec> LookupKeys(ExecutorContext& ctx,
 
 }  // namespace
 
-Result<PartitionVec> IndexedScanOp::Execute(ExecutorContext& ctx) {
-  IndexedRelationSnapshot snap = rel_->Snapshot();
-  const Schema& schema = *rel_->schema();
-  return MorselScanDense(ctx, snap, [&schema](const uint8_t* payload) {
-    return DecodeRow(payload, schema);
-  });
+Result<ScanSource> ScanSource::Of(const RelationRead& read) {
+  auto rel = std::dynamic_pointer_cast<IndexedRelation>(read.rel);
+  if (rel == nullptr) {
+    return Status::Internal("indexed read of a foreign relation type: " +
+                            read.name());
+  }
+  auto pin = std::dynamic_pointer_cast<PinnedSnapshot>(read.pin);
+  if (read.pin != nullptr && pin == nullptr) {
+    return Status::Internal("indexed read at a foreign snapshot type: " +
+                            read.name());
+  }
+  return ScanSource(std::move(rel), std::move(pin));
 }
 
-Result<PartitionVec> SnapshotScanOp::Execute(ExecutorContext& ctx) {
-  const IndexedRelationSnapshot& snap = snapshot_->snapshot();
-  const Schema& schema = *snapshot_->schema();
+std::string ScanSource::Label() const { return RelationRead(rel, pin).Label(); }
+
+Result<PartitionVec> IndexedScanOp::Execute(ExecutorContext& ctx) {
+  std::optional<IndexedRelationSnapshot> scratch;
+  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
+  const Schema& schema = *source_.schema();
   return MorselScanDense(ctx, snap, [&schema](const uint8_t* payload) {
     return DecodeRow(payload, schema);
   });
@@ -669,7 +678,7 @@ Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
 }
 
 std::string SecondaryIndexProbeOp::name() const {
-  std::string out = "SecondaryIndexProbe[" + source_.name() + "] ";
+  std::string out = "SecondaryIndexProbe[" + source_.Label() + "] ";
   for (size_t i = 0; i < probes_.size(); ++i) {
     if (i > 0) out += " AND ";
     out += probes_[i].ToString();
@@ -941,26 +950,32 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
                             out_types);
 }
 
+std::string IndexLookupOp::name() const {
+  std::string out = "IndexLookup[" + source_.Label() + "] key=";
+  if (filter_.has_any()) out = "Filtered" + out;
+  if (keys_.size() != 1) {
+    return out + "{" + std::to_string(keys_.size()) + " keys}";
+  }
+  return out + (!key_params_.empty() && key_params_[0] >= 0
+                    ? "$" + std::to_string(key_params_[0] + 1)
+                    : keys_[0].ToString());
+}
+
 Result<PartitionVec> IndexLookupOp::Execute(ExecutorContext& ctx) {
-  IndexedRelationSnapshot snap = rel_->Snapshot();
+  std::optional<IndexedRelationSnapshot> scratch;
+  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
   IDF_ASSIGN_OR_RETURN(std::vector<Value> keys,
                        ResolveLookupKeys(keys_, key_params_, ctx));
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   return LookupKeys(ctx, snap, keys, filter);
 }
 
-Result<PartitionVec> SnapshotLookupOp::Execute(ExecutorContext& ctx) {
-  IDF_ASSIGN_OR_RETURN(std::vector<Value> keys,
-                       ResolveLookupKeys(keys_, key_params_, ctx));
-  IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
-  return LookupKeys(ctx, snapshot_->snapshot(), keys, filter);
-}
-
 Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
   IDF_ASSIGN_OR_RETURN(PartitionVec probe_parts, children()[0]->Execute(ctx));
-  IndexedRelationSnapshot snap = rel_->Snapshot();
-  const Schema& build_schema = *rel_->schema();
+  std::optional<IndexedRelationSnapshot> scratch;
+  const IndexedRelationSnapshot& snap = build_.Snapshot(&scratch);
+  const Schema& build_schema = *build_.schema();
   const Schema& probe_schema = *children()[0]->schema();
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());
 

@@ -1,7 +1,9 @@
 // Indexed physical operators: the execution layer the paper's Catalyst
 // rules dispatch to — IndexedScan (full scan of the row batches),
 // IndexLookup (cTrie point lookup), and IndexedEquiJoin (probe-side-only
-// shuffle or broadcast against the pre-built index).
+// shuffle or broadcast against the pre-built index). Every operator reads
+// its relation through a ScanSource, pinned or not: one operator per
+// access, whatever the version.
 #pragma once
 
 #include <optional>
@@ -40,53 +42,29 @@ struct PushedFilter {
   }
 };
 
-/// Full scan of an indexed relation's row batches (decodes binary rows:
-/// the row-major representation the paper notes is slower to project than
-/// Spark's columnar cache).
-class IndexedScanOp : public PhysicalOp {
- public:
-  explicit IndexedScanOp(IndexedRelationPtr rel)
-      : PhysicalOp(rel->schema()), rel_(std::move(rel)) {}
-  std::string name() const override { return "IndexedScan[" + rel_->name() + "]"; }
-  Result<PartitionVec> Execute(ExecutorContext& ctx) override;
-
- private:
-  IndexedRelationPtr rel_;
-};
-
-/// Scan of a pinned snapshot: always reads the frozen version, regardless
-/// of how much the live relation has grown since Pin().
-class SnapshotScanOp : public PhysicalOp {
- public:
-  explicit SnapshotScanOp(PinnedSnapshotPtr snapshot)
-      : PhysicalOp(snapshot->schema()), snapshot_(std::move(snapshot)) {}
-  std::string name() const override {
-    return "SnapshotScan[" + snapshot_->name() + "]";
-  }
-  Result<PartitionVec> Execute(ExecutorContext& ctx) override;
-
- private:
-  PinnedSnapshotPtr snapshot_;
-};
-
-/// The data a fused scan operator reads: a live indexed relation (fresh
-/// snapshot per execution) or a pinned one (always the frozen version).
-/// Exactly one of the two is set.
+/// The physical form of a RelationRead: the relation every indexed
+/// operator reads, plus an optional pin. A pinned source always reads the
+/// frozen version; an unpinned one captures a fresh snapshot when its
+/// operator starts executing.
 struct ScanSource {
   IndexedRelationPtr rel;
   PinnedSnapshotPtr pin;
 
-  ScanSource(IndexedRelationPtr r) : rel(std::move(r)) {}  // NOLINT(runtime/explicit)
-  ScanSource(PinnedSnapshotPtr p) : pin(std::move(p)) {}   // NOLINT(runtime/explicit)
+  ScanSource(IndexedRelationPtr r,  // NOLINT(runtime/explicit)
+             PinnedSnapshotPtr p = nullptr)
+      : rel(std::move(r)), pin(std::move(p)) {}
 
-  bool valid() const { return rel != nullptr || pin != nullptr; }
+  /// The source of a logical read; Internal error for a relation or pin of
+  /// a foreign implementation.
+  static Result<ScanSource> Of(const RelationRead& read);
 
-  const std::string& name() const { return rel ? rel->name() : pin->name(); }
-  const SchemaPtr& schema() const { return rel ? rel->schema() : pin->schema(); }
+  const SchemaPtr& schema() const { return rel->schema(); }
+  /// `name`, or `name@vN` when pinned.
+  std::string Label() const;
 
-  /// The snapshot to read: freshly captured for a live relation (parked in
-  /// `scratch`, which must outlive the returned reference), the frozen one
-  /// for a pin. Snapshots are move-only (the per-partition views hold trie
+  /// The snapshot to read: the frozen one for a pin, otherwise freshly
+  /// captured (parked in `scratch`, which must outlive the returned
+  /// reference). Snapshots are move-only (the per-partition views hold trie
   /// roots), hence the out-parameter instead of a by-value return.
   const IndexedRelationSnapshot& Snapshot(
       std::optional<IndexedRelationSnapshot>* scratch) const {
@@ -96,14 +74,29 @@ struct ScanSource {
   }
 };
 
+/// Full scan of an indexed relation's row batches (decodes binary rows:
+/// the row-major representation the paper notes is slower to project than
+/// Spark's columnar cache).
+class IndexedScanOp : public PhysicalOp {
+ public:
+  explicit IndexedScanOp(ScanSource source)
+      : PhysicalOp(source.schema()), source_(std::move(source)) {}
+  std::string name() const override {
+    return "IndexedScan[" + source_.Label() + "]";
+  }
+  Result<PartitionVec> Execute(ExecutorContext& ctx) override;
+
+ private:
+  ScanSource source_;
+};
+
 /// Fused scan + compiled filter over the row batches: the compiled program
 /// runs against the encoded payload (rows it rejects are never decoded),
 /// the interpreter residual — if any — runs on the decoded survivors, and
 /// only matches materialize (optionally just the projected columns). This
 /// is the lazy-decoding advantage of the binary row layout; the planner
-/// fuses `[Project over] Filter(pred)` over an IndexedScan (or a pinned
-/// SnapshotScan) into this operator whenever at least one conjunct of the
-/// predicate compiles.
+/// fuses `[Project over] Filter(pred)` over an IndexedScan into this
+/// operator whenever at least one conjunct of the predicate compiles.
 class IndexedScanFilterOp : public PhysicalOp {
  public:
   /// `project_cols` empty means "all columns" (then `schema` must be the
@@ -117,7 +110,7 @@ class IndexedScanFilterOp : public PhysicalOp {
         filter_(std::move(filter)),
         project_cols_(std::move(project_cols)) {}
   std::string name() const override {
-    return "IndexedScanFilter[" + source_.name() + "] " + predicate_->ToString() +
+    return "IndexedScanFilter[" + source_.Label() + "] " + predicate_->ToString() +
            (filter_.compiled ? " (compiled)" : "") +
            (project_cols_.empty() ? "" : " (pruned)");
   }
@@ -174,7 +167,7 @@ class IndexedScanProjectOp : public PhysicalOp {
         source_(std::move(source)),
         cols_(std::move(cols)) {}
   std::string name() const override {
-    return "IndexedScanProject[" + source_.name() + "]";
+    return "IndexedScanProject[" + source_.Label() + "]";
   }
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
@@ -192,7 +185,7 @@ class IndexedScanProjectOp : public PhysicalOp {
 /// aggregate args and interpreter residuals decode lazily, once per row.
 /// Thread-local partial hash tables per morsel feed the hash-partitioned
 /// parallel merge of MergePartialGroups. The planner fuses
-/// `Aggregate([Filter] over IndexedScan/SnapshotScan)` into this operator.
+/// `Aggregate([Filter] over IndexedScan)` into this operator.
 class IndexedScanAggregateOp : public PhysicalOp {
  public:
   /// `predicate` is the original filter predicate (may be null when the
@@ -208,7 +201,7 @@ class IndexedScanAggregateOp : public PhysicalOp {
         group_exprs_(std::move(group_exprs)),
         aggs_(std::move(aggs)) {}
   std::string name() const override {
-    return "IndexedScanAggregate[" + source_.name() + "]" +
+    return "IndexedScanAggregate[" + source_.Label() + "]" +
            (predicate_ ? " " + predicate_->ToString() : "") +
            (filter_.compiled ? " (compiled)" : "");
   }
@@ -223,102 +216,61 @@ class IndexedScanAggregateOp : public PhysicalOp {
 };
 
 /// Point lookup of one or more keys: each key routes to its home partition
-/// and the backward-pointer chain is walked. A consistent snapshot covers
-/// all keys of a multi-key (IN-list) lookup. A pushed residual filter is
-/// applied during the chain walk while the node is cache-hot (the compiled
-/// part before decoding, the interpreted part on the decoded row).
+/// and the backward-pointer chain is walked. One snapshot — the pin's, or
+/// one captured at execution start — covers all keys of a multi-key
+/// (IN-list) lookup. A pushed residual filter is applied during the chain
+/// walk while the node is cache-hot (the compiled part before decoding, the
+/// interpreted part on the decoded row).
 class IndexLookupOp : public PhysicalOp {
  public:
   /// `key_params` parallels `keys`: entry i >= 0 marks keys[i] as a
   /// placeholder filled from that prepared-statement parameter ordinal at
   /// execution time (empty = all literal keys).
-  IndexLookupOp(IndexedRelationPtr rel, std::vector<Value> keys,
+  IndexLookupOp(ScanSource source, std::vector<Value> keys,
                 PushedFilter filter = {}, std::vector<int> key_params = {})
-      : PhysicalOp(rel->schema()),
-        rel_(std::move(rel)),
+      : PhysicalOp(source.schema()),
+        source_(std::move(source)),
         keys_(std::move(keys)),
         filter_(std::move(filter)),
         key_params_(std::move(key_params)) {}
-  std::string name() const override {
-    std::string out = "IndexLookup[" + rel_->name() + "] key=";
-    if (filter_.has_any()) out = "Filtered" + out;
-    auto render = [this](size_t i) {
-      return (i < key_params_.size() && key_params_[i] >= 0)
-                 ? "$" + std::to_string(key_params_[i] + 1)
-                 : keys_[i].ToString();
-    };
-    if (keys_.size() == 1) return out + render(0);
-    return out + "{" + std::to_string(keys_.size()) + " keys}";
-  }
+  std::string name() const override;
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  IndexedRelationPtr rel_;
+  ScanSource source_;
   std::vector<Value> keys_;
   PushedFilter filter_;
   std::vector<int> key_params_;
 };
 
-/// Point lookup against a pinned snapshot: identical chain walk, but over
-/// the frozen per-partition views, so a service query reads its epoch's
-/// version at index speed while appends keep landing in the live relation.
-class SnapshotLookupOp : public PhysicalOp {
- public:
-  /// `key_params` as in IndexLookupOp.
-  SnapshotLookupOp(PinnedSnapshotPtr snapshot, std::vector<Value> keys,
-                   PushedFilter filter = {}, std::vector<int> key_params = {})
-      : PhysicalOp(snapshot->schema()),
-        snapshot_(std::move(snapshot)),
-        keys_(std::move(keys)),
-        filter_(std::move(filter)),
-        key_params_(std::move(key_params)) {}
-  std::string name() const override {
-    std::string out = "SnapshotLookup[" + snapshot_->name() + "] key=";
-    if (filter_.has_any()) out = "Filtered" + out;
-    auto render = [this](size_t i) {
-      return (i < key_params_.size() && key_params_[i] >= 0)
-                 ? "$" + std::to_string(key_params_[i] + 1)
-                 : keys_[i].ToString();
-    };
-    if (keys_.size() == 1) return out + render(0);
-    return out + "{" + std::to_string(keys_.size()) + " keys}";
-  }
-  Result<PartitionVec> Execute(ExecutorContext& ctx) override;
-
- private:
-  PinnedSnapshotPtr snapshot_;
-  std::vector<Value> keys_;
-  PushedFilter filter_;
-  std::vector<int> key_params_;
-};
-
-/// Indexed equi-join. The indexed relation is always the build side ("as it
-/// is actually pre-built due to the index"); the probe side is shuffled to
-/// the index's hash partitioning, or — when small enough to broadcast
-/// efficiently — broadcast to all partitions (paper §2, Indexed Join).
+/// Indexed equi-join. The indexed relation, read at the build source's
+/// version, is always the build side ("as it is actually pre-built due to
+/// the index"); the probe side is shuffled to the index's hash
+/// partitioning, or — when small enough to broadcast efficiently —
+/// broadcast to all partitions (paper §2, Indexed Join).
 /// An optional build-side filter (from a pushed-down predicate on the
 /// indexed relation) runs against the encoded build row during the chain
 /// walk, before the row is decoded or concatenated.
 class IndexedJoinOp : public PhysicalOp {
  public:
-  IndexedJoinOp(IndexedRelationPtr rel, PhysicalOpPtr probe, ExprPtr probe_key,
+  IndexedJoinOp(ScanSource build, PhysicalOpPtr probe, ExprPtr probe_key,
                 bool indexed_on_left, bool broadcast_probe, SchemaPtr schema,
                 PushedFilter build_filter = {})
       : PhysicalOp(std::move(schema), {probe}),
-        rel_(std::move(rel)),
+        build_(std::move(build)),
         probe_key_(std::move(probe_key)),
         indexed_on_left_(indexed_on_left),
         broadcast_probe_(broadcast_probe),
         build_filter_(std::move(build_filter)) {}
   std::string name() const override {
-    return std::string("IndexedEquiJoin[") + rel_->name() + "] (" +
+    return "IndexedEquiJoin[" + build_.Label() + "] (" +
            (broadcast_probe_ ? "broadcast" : "shuffled") + " probe)" +
            (build_filter_.has_any() ? " (build filtered)" : "");
   }
   Result<PartitionVec> Execute(ExecutorContext& ctx) override;
 
  private:
-  IndexedRelationPtr rel_;
+  ScanSource build_;
   ExprPtr probe_key_;
   bool indexed_on_left_;
   bool broadcast_probe_;

@@ -247,6 +247,17 @@ RowVec IndexedRelation::GetRows(const Value& key) const {
   return partitions_[static_cast<size_t>(p)]->GetRows(key);
 }
 
+bool IndexedRelation::PinIsCurrent(const PinnedSnapshot& pin) const {
+  if (pin.version() != version()) return false;
+  for (size_t p = 0; p < partitions_.size(); ++p) {
+    if (pin.snapshot().view(static_cast<int>(p)).generation() !=
+        partitions_[p]->gen()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 IndexedRelationSnapshot IndexedRelation::Snapshot() const {
   std::vector<IndexedPartition::View> views;
   views.reserve(partitions_.size());

@@ -98,20 +98,16 @@ class IndexedRelationSnapshot {
   std::vector<IndexedPartition::View> views_;
 };
 
-/// \brief A pinned, named version of an indexed relation (implements the
-/// SQL layer's SnapshotRelationBase). Reads against it are frozen at the
-/// capture point while the live relation keeps growing.
+/// \brief A pinned version of an indexed relation (implements the SQL
+/// layer's SnapshotRelationBase): a read handle on the relation's index at
+/// one frontier. Reads through it are frozen at the capture point while the
+/// live relation keeps growing; plans pair it with its relation in a
+/// RelationRead.
 class PinnedSnapshot : public SnapshotRelationBase {
  public:
-  PinnedSnapshot(std::string name, uint64_t version,
-                 IndexedRelationSnapshot snapshot)
-      : name_(std::move(name)),
-        version_(version),
-        snapshot_(std::move(snapshot)) {}
+  PinnedSnapshot(uint64_t version, IndexedRelationSnapshot snapshot)
+      : version_(version), snapshot_(std::move(snapshot)) {}
 
-  const std::string& name() const override { return name_; }
-  const SchemaPtr& schema() const override { return snapshot_.schema(); }
-  int indexed_column() const override { return snapshot_.indexed_column(); }
   uint64_t version() const override { return version_; }
   size_t num_rows() const override { return snapshot_.num_rows(); }
   SecondaryIndexKind secondary_index_kind(int column) const override {
@@ -127,7 +123,6 @@ class PinnedSnapshot : public SnapshotRelationBase {
   RowVec GetRows(const Value& key) const { return snapshot_.GetRows(key); }
 
  private:
-  std::string name_;
   uint64_t version_;
   IndexedRelationSnapshot snapshot_;
 };
@@ -196,11 +191,16 @@ class IndexedRelation : public IndexedRelationBase {
   /// Captures a consistent O(num_partitions) read view.
   IndexedRelationSnapshot Snapshot() const;
 
-  /// Captures a named, pinned version for time-travel reads.
+  /// True while `pin` still reads this relation's current state: no batch
+  /// has landed since it was captured, and no compaction has swapped a
+  /// partition to a new generation (a pin kept past a swap would hold the
+  /// retired generation alive).
+  bool PinIsCurrent(const PinnedSnapshot& pin) const;
+
+  /// Captures a pinned version for time-travel reads.
   PinnedSnapshotPtr Pin() const {
-    uint64_t v = version();
-    return std::make_shared<PinnedSnapshot>(name_ + "@v" + std::to_string(v), v,
-                                            Snapshot());
+    const uint64_t v = version();  // before the capture: never ahead of it
+    return std::make_shared<PinnedSnapshot>(v, Snapshot());
   }
 
   /// Aggregated chain statistics across partitions (chain-length

@@ -27,11 +27,11 @@ ExprPtr ConjoinAll(const std::vector<ExprPtr>& conjuncts) {
   return acc;
 }
 
-/// True if `key` is a plain reference to the indexed column of `rel`.
-bool KeyIsIndexedColumn(const ExprPtr& key, const IndexedRelationBasePtr& rel) {
-  if (key->kind() != ExprKind::kColumnRef) return false;
+/// Ordinal of `key` when it is a plain bound column reference, else -1.
+int KeyColumn(const ExprPtr& key) {
+  if (key->kind() != ExprKind::kColumnRef) return -1;
   const auto* ref = static_cast<const ColumnRefExpr*>(key.get());
-  return ref->bound() && ref->index() == rel->indexed_column();
+  return ref->bound() ? ref->index() : -1;
 }
 
 /// Matches an OR-tree of `col = literal` / `col = $n` comparisons all on
@@ -83,54 +83,38 @@ Result<LogicalPlanPtr> IndexedFilterRule::Apply(const LogicalPlanPtr& node) cons
   if (node->kind() != PlanKind::kFilter) return LogicalPlanPtr(nullptr);
   const auto* filter = static_cast<const FilterNode*>(node.get());
   const LogicalPlanPtr& child = filter->children()[0];
-  // The rewrite applies to live indexed scans and to pinned snapshot scans
-  // alike: a pinned snapshot keeps the per-partition tries, so an equality
-  // on the indexed column stays a point lookup (this is what keeps service
-  // queries at index speed while they read a frozen epoch).
-  int indexed_col = -1;
-  if (child->kind() == PlanKind::kIndexedScan) {
-    indexed_col = static_cast<const IndexedScanNode*>(child.get())
-                      ->relation()
-                      ->indexed_column();
-  } else if (child->kind() == PlanKind::kSnapshotScan) {
-    indexed_col = static_cast<const SnapshotScanNode*>(child.get())
-                      ->snapshot()
-                      ->indexed_column();
-  } else {
-    return LogicalPlanPtr(nullptr);
-  }
+  if (child->kind() != PlanKind::kIndexedScan) return LogicalPlanPtr(nullptr);
+  const auto* scan = static_cast<const IndexedScanNode*>(child.get());
 
   std::vector<ExprPtr> conjuncts;
   CollectConjuncts(filter->predicate(), &conjuncts);
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    // Single equality, or an OR-of-equalities on the indexed column (the
-    // desugared `col IN (...)`) — both become (multi-key) index lookups.
-    // Prepared-statement parameter equalities become placeholder key slots.
-    std::vector<Value> keys;
-    std::vector<int> key_params;
-    bool any_param = false;
-    if (!MatchInList(conjuncts[i], indexed_col, &keys, &key_params,
-                     &any_param)) {
-      continue;
+  // Access paths in registration order, so the first index wins when
+  // several could serve the filter; the lookup reads the path at the
+  // scan's version (a pinned path keeps its per-partition tries).
+  for (const RelationRead& path : scan->access_paths()) {
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      // Single equality, or an OR-of-equalities on the indexed column (the
+      // desugared `col IN (...)`) — both become (multi-key) index lookups.
+      // Prepared-statement parameter equalities become placeholder key
+      // slots.
+      std::vector<Value> keys;
+      std::vector<int> key_params;
+      bool any_param = false;
+      if (!MatchInList(conjuncts[i], path.indexed_column(), &keys, &key_params,
+                       &any_param)) {
+        continue;
+      }
+      if (!any_param) key_params.clear();
+      LogicalPlanPtr lookup = std::make_shared<IndexedLookupNode>(
+          path, std::move(keys), std::move(key_params));
+      std::vector<ExprPtr> rest;
+      for (size_t j = 0; j < conjuncts.size(); ++j) {
+        if (j != i) rest.push_back(conjuncts[j]);
+      }
+      if (rest.empty()) return lookup;
+      return LogicalPlanPtr(std::make_shared<FilterNode>(
+          std::move(lookup), ConjoinAll(rest), node->output_schema()));
     }
-    if (!any_param) key_params.clear();
-    LogicalPlanPtr lookup;
-    if (child->kind() == PlanKind::kIndexedScan) {
-      lookup = std::make_shared<IndexedLookupNode>(
-          static_cast<const IndexedScanNode*>(child.get())->relation(),
-          std::move(keys), std::move(key_params));
-    } else {
-      lookup = std::make_shared<SnapshotLookupNode>(
-          static_cast<const SnapshotScanNode*>(child.get())->snapshot(),
-          std::move(keys), std::move(key_params));
-    }
-    std::vector<ExprPtr> rest;
-    for (size_t j = 0; j < conjuncts.size(); ++j) {
-      if (j != i) rest.push_back(conjuncts[j]);
-    }
-    if (rest.empty()) return lookup;
-    return LogicalPlanPtr(std::make_shared<FilterNode>(
-        std::move(lookup), ConjoinAll(rest), node->output_schema()));
   }
   return LogicalPlanPtr(nullptr);
 }
@@ -141,33 +125,25 @@ Result<LogicalPlanPtr> SecondaryIndexFilterRule::Apply(
   if (node->kind() != PlanKind::kFilter) return LogicalPlanPtr(nullptr);
   const auto* filter = static_cast<const FilterNode*>(node.get());
   const LogicalPlanPtr& child = filter->children()[0];
-  IndexedRelationBasePtr rel;
-  SnapshotRelationBasePtr snap;
-  if (child->kind() == PlanKind::kIndexedScan) {
-    rel = static_cast<const IndexedScanNode*>(child.get())->relation();
-  } else if (child->kind() == PlanKind::kSnapshotScan) {
-    snap = static_cast<const SnapshotScanNode*>(child.get())->snapshot();
-  } else {
-    return LogicalPlanPtr(nullptr);
-  }
-  const SchemaPtr& schema = rel ? rel->schema() : snap->schema();
-  const size_t total_rows = rel ? rel->num_rows() : snap->num_rows();
+  if (child->kind() != PlanKind::kIndexedScan) return LogicalPlanPtr(nullptr);
+  // Secondary indexes are registered on every access path of a table, so
+  // the scanned path serves the probe.
+  const RelationRead& read =
+      static_cast<const IndexedScanNode*>(child.get())->read();
+  const size_t total_rows = read.num_rows();
 
   std::vector<ExprPtr> conjuncts;
   CollectConjuncts(filter->predicate(), &conjuncts);
-  auto kind_of = [&](int col) {
-    return rel ? rel->secondary_index_kind(col) : snap->secondary_index_kind(col);
-  };
+  auto kind_of = [&read](int col) { return read.secondary_index_kind(col); };
   std::vector<SecondaryProbeCandidate> candidates =
-      CollectSecondaryProbeCandidates(conjuncts, *schema, kind_of);
+      CollectSecondaryProbeCandidates(conjuncts, *read.schema(), kind_of);
   if (candidates.empty()) return LogicalPlanPtr(nullptr);
 
   // Index-kind costing: estimated matches from the index statistics become
   // a selectivity per candidate; the probe only beats the vectorized
   // scan's sequential bandwidth when selective enough.
   for (SecondaryProbeCandidate& c : candidates) {
-    const uint64_t est = rel ? rel->EstimateSecondaryMatches(c.probe)
-                             : snap->EstimateSecondaryMatches(c.probe);
+    const uint64_t est = read.EstimateSecondaryMatches(c.probe);
     c.probe.selectivity =
         total_rows == 0
             ? 0.0
@@ -198,8 +174,7 @@ Result<LogicalPlanPtr> SecondaryIndexFilterRule::Apply(
   if (probes.empty()) return LogicalPlanPtr(nullptr);
 
   LogicalPlanPtr probe_node =
-      rel ? std::make_shared<SecondaryProbeNode>(rel, std::move(probes))
-          : std::make_shared<SecondaryProbeNode>(snap, std::move(probes));
+      std::make_shared<SecondaryProbeNode>(read, std::move(probes));
   std::vector<ExprPtr> rest;
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     if (!consumed[i]) rest.push_back(conjuncts[i]);
@@ -211,26 +186,26 @@ Result<LogicalPlanPtr> SecondaryIndexFilterRule::Apply(
 
 namespace {
 
-/// Matches a join side that is an IndexedScan, possibly under a Filter
-/// (whose predicate is then bound to the relation's own schema, since the
-/// FilterNode's child is the scan). A matched filter becomes the join's
-/// build-side predicate, evaluated against the encoded build rows during
-/// the chain walk instead of as a separate pass over a materialized scan.
-bool MatchBuildSide(const LogicalPlanPtr& side, IndexedRelationBasePtr* rel,
-                    ExprPtr* build_pred) {
-  if (side->kind() == PlanKind::kIndexedScan) {
-    *rel = static_cast<const IndexedScanNode*>(side.get())->relation();
-    *build_pred = nullptr;
-    return true;
-  }
-  if (side->kind() == PlanKind::kFilter &&
-      side->children()[0]->kind() == PlanKind::kIndexedScan) {
-    *rel = static_cast<const IndexedScanNode*>(side->children()[0].get())
-               ->relation();
+/// Matches a join side that is an IndexedScan with an access path indexed
+/// on the side's join key, possibly under a Filter (whose predicate is then
+/// bound to the relation's own schema, since the FilterNode's child is the
+/// scan). A matched filter becomes the join's build-side predicate,
+/// evaluated against the encoded build rows during the chain walk instead
+/// of as a separate pass over a materialized scan.
+bool MatchBuildSide(const LogicalPlanPtr& side, const ExprPtr& key,
+                    RelationRead* build, ExprPtr* build_pred) {
+  const LogicalPlanPtr* scan = &side;
+  *build_pred = nullptr;
+  if (side->kind() == PlanKind::kFilter) {
+    scan = &side->children()[0];
     *build_pred = static_cast<const FilterNode*>(side.get())->predicate();
-    return true;
   }
-  return false;
+  if ((*scan)->kind() != PlanKind::kIndexedScan) return false;
+  const RelationRead* path =
+      static_cast<const IndexedScanNode*>(scan->get())->PathIndexedOn(KeyColumn(key));
+  if (path == nullptr) return false;
+  *build = *path;
+  return true;
 }
 
 }  // namespace
@@ -242,23 +217,31 @@ Result<LogicalPlanPtr> IndexedJoinRule::Apply(const LogicalPlanPtr& node) const 
   if (join->join_type() != JoinType::kInner) return LogicalPlanPtr(nullptr);
 
   // "In case of the indexed join, the indexed relation is always the build
-  //  side" — prefer the left side when both are indexed. A Filter over the
-  //  build-side scan is absorbed as the join's build predicate (children
-  //  are optimized before parents, so an indexed-column equality filter has
-  //  already become a lookup and no longer matches here).
-  IndexedRelationBasePtr rel;
-  ExprPtr build_pred;
-  if (MatchBuildSide(join->left(), &rel, &build_pred) &&
-      KeyIsIndexedColumn(join->left_key(), rel)) {
+  //  side". A Filter over the build-side scan is absorbed as the join's
+  //  build predicate (children are optimized before parents, so an
+  //  indexed-column equality filter has already become a lookup and no
+  //  longer matches here).
+  RelationRead left_build, right_build;
+  ExprPtr left_pred, right_pred;
+  const bool left_ok =
+      MatchBuildSide(join->left(), join->left_key(), &left_build, &left_pred);
+  const bool right_ok =
+      MatchBuildSide(join->right(), join->right_key(), &right_build, &right_pred);
+  // When both sides are indexed on their keys, the build side is the one
+  // whose opposite input — the probe, which is scanned and exchanged in
+  // full — is estimated smaller. Ties keep the left side.
+  const bool build_left =
+      left_ok && (!right_ok ||
+                  EstimateRows(join->right()) <= EstimateRows(join->left()));
+  if (build_left) {
     return LogicalPlanPtr(std::make_shared<IndexedJoinNode>(
-        rel, join->right(), join->right_key(), /*indexed_on_left=*/true,
-        node->output_schema(), std::move(build_pred)));
+        std::move(left_build), join->right(), join->right_key(),
+        /*indexed_on_left=*/true, node->output_schema(), std::move(left_pred)));
   }
-  if (MatchBuildSide(join->right(), &rel, &build_pred) &&
-      KeyIsIndexedColumn(join->right_key(), rel)) {
+  if (right_ok) {
     return LogicalPlanPtr(std::make_shared<IndexedJoinNode>(
-        rel, join->left(), join->left_key(), /*indexed_on_left=*/false,
-        node->output_schema(), std::move(build_pred)));
+        std::move(right_build), join->left(), join->left_key(),
+        /*indexed_on_left=*/false, node->output_schema(), std::move(right_pred)));
   }
   return LogicalPlanPtr(nullptr);
 }
@@ -278,31 +261,9 @@ bool AllColumnRefs(const std::vector<ExprPtr>& exprs, std::vector<int>* cols) {
   return true;
 }
 
-/// True for the two leaf kinds a scan-filter / scan-project can fuse over.
-bool IsFusableScan(const LogicalPlanPtr& node) {
-  return node->kind() == PlanKind::kIndexedScan ||
-         node->kind() == PlanKind::kSnapshotScan;
-}
-
-/// ScanSource of an IndexedScan or SnapshotScan node. Invalid (both null)
-/// when the node holds a foreign relation/snapshot implementation.
-ScanSource SourceOfScan(const LogicalPlanPtr& scan) {
-  if (scan->kind() == PlanKind::kIndexedScan) {
-    return ScanSource(std::dynamic_pointer_cast<IndexedRelation>(
-        static_cast<const IndexedScanNode*>(scan.get())->relation()));
-  }
-  return ScanSource(std::dynamic_pointer_cast<PinnedSnapshot>(
-      static_cast<const SnapshotScanNode*>(scan.get())->snapshot()));
-}
-
-/// ScanSource of a SecondaryProbeNode's relation or snapshot. Invalid
-/// (both null) for foreign implementations.
-ScanSource SourceOfProbe(const SecondaryProbeNode* probe) {
-  if (probe->relation()) {
-    return ScanSource(
-        std::dynamic_pointer_cast<IndexedRelation>(probe->relation()));
-  }
-  return ScanSource(std::dynamic_pointer_cast<PinnedSnapshot>(probe->snapshot()));
+/// The scanned source of an IndexedScan node.
+Result<ScanSource> SourceOfScan(const LogicalPlanPtr& scan) {
+  return ScanSource::Of(static_cast<const IndexedScanNode*>(scan.get())->read());
 }
 
 /// True when the aggregate can run on encoded payloads: every group
@@ -331,30 +292,32 @@ bool AggregateIsFusable(const AggregateNode* agg, const Schema& schema) {
 Result<PhysicalOpPtr> IndexedExecutionStrategy::Plan(
     const LogicalPlanPtr& node, std::vector<PhysicalOpPtr> children,
     const EngineConfig& config) const {
-  // Fuse Aggregate over an IndexedScan / pinned SnapshotScan — or over a
-  // Filter over one — into a morsel-parallel scan-aggregate that reads
-  // group keys and aggregate inputs straight from the encoded payloads.
-  // With a filter in between, the same compiled-predicate gate as the
-  // scan-filter fusion applies: at least one conjunct must compile, so
-  // survivor rows are selected on the payload bytes and flow into the
-  // partial tables without a decoded intermediate.
+  auto is_scan = [](const LogicalPlanPtr& n) {
+    return n->kind() == PlanKind::kIndexedScan;
+  };
+  // Fuse Aggregate over an IndexedScan — or over a Filter over one — into a
+  // morsel-parallel scan-aggregate that reads group keys and aggregate
+  // inputs straight from the encoded payloads. With a filter in between,
+  // the same compiled-predicate gate as the scan-filter fusion applies: at
+  // least one conjunct must compile, so survivor rows are selected on the
+  // payload bytes and flow into the partial tables without a decoded
+  // intermediate.
   if (node->kind() == PlanKind::kAggregate) {
     const auto* agg = static_cast<const AggregateNode*>(node.get());
     const LogicalPlanPtr& child = node->children()[0];
-    if (IsFusableScan(child)) {
-      ScanSource source = SourceOfScan(child);
-      if (source.valid() && AggregateIsFusable(agg, *source.schema())) {
+    if (is_scan(child)) {
+      IDF_ASSIGN_OR_RETURN(ScanSource source, SourceOfScan(child));
+      if (AggregateIsFusable(agg, *source.schema())) {
         return PhysicalOpPtr(std::make_shared<IndexedScanAggregateOp>(
             std::move(source), nullptr, PushedFilter{}, agg->group_exprs(),
             agg->aggs(), node->output_schema()));
       }
       return PhysicalOpPtr(nullptr);
     }
-    if (child->kind() == PlanKind::kFilter &&
-        IsFusableScan(child->children()[0])) {
+    if (child->kind() == PlanKind::kFilter && is_scan(child->children()[0])) {
       const auto* filter = static_cast<const FilterNode*>(child.get());
-      ScanSource source = SourceOfScan(child->children()[0]);
-      if (source.valid() && AggregateIsFusable(agg, *source.schema())) {
+      IDF_ASSIGN_OR_RETURN(ScanSource source, SourceOfScan(child->children()[0]));
+      if (AggregateIsFusable(agg, *source.schema())) {
         PredicateSplit split =
             SplitForCompilation(filter->predicate(), *source.schema());
         if (split.compiled.has_value()) {
@@ -368,27 +331,25 @@ Result<PhysicalOpPtr> IndexedExecutionStrategy::Plan(
     }
     return PhysicalOpPtr(nullptr);
   }
-  // Fuse a Filter directly over an IndexedScan or a pinned SnapshotScan
-  // into a lazy-decoding scan-filter whenever at least one conjunct of the
-  // predicate compiles to an encoded-row program (the index itself only
-  // serves equality on the indexed column; that case was already rewritten
-  // to IndexedLookup/SnapshotLookup by the optimizer rule and never
-  // reaches this branch). A filter over a lookup pushes into the chain
-  // walk instead. Predicates where nothing compiles (LIKE, arithmetic,
-  // col-vs-col) fall back to the generic FilterOp over the scan.
+  // Fuse a Filter directly over an IndexedScan into a lazy-decoding
+  // scan-filter whenever at least one conjunct of the predicate compiles
+  // to an encoded-row program (the index itself only serves equality on an
+  // indexed column; that case was already rewritten to IndexedLookup by
+  // the optimizer rule and never reaches this branch). A filter over a
+  // lookup or secondary probe pushes into that operator instead.
+  // Predicates where nothing compiles (LIKE, arithmetic, col-vs-col) fall
+  // back to the generic FilterOp over the scan.
   if (node->kind() == PlanKind::kFilter) {
     const auto* filter = static_cast<const FilterNode*>(node.get());
     const LogicalPlanPtr& child = node->children()[0];
-    if (IsFusableScan(child)) {
-      ScanSource source = SourceOfScan(child);
-      if (source.valid()) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *source.schema());
-        if (split.compiled.has_value()) {
-          return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
-              std::move(source), filter->predicate(),
-              PushedFilter::FromSplit(std::move(split))));
-        }
+    if (is_scan(child)) {
+      IDF_ASSIGN_OR_RETURN(ScanSource source, SourceOfScan(child));
+      PredicateSplit split =
+          SplitForCompilation(filter->predicate(), *source.schema());
+      if (split.compiled.has_value()) {
+        return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
+            std::move(source), filter->predicate(),
+            PushedFilter::FromSplit(std::move(split))));
       }
       return PhysicalOpPtr(nullptr);  // fall back to Filter over the scan
     }
@@ -399,39 +360,21 @@ Result<PhysicalOpPtr> IndexedExecutionStrategy::Plan(
       // restricted the row set, so even a fully interpreted residual over
       // few survivors beats a separate filter pass.
       const auto* probe = static_cast<const SecondaryProbeNode*>(child.get());
-      ScanSource source = SourceOfProbe(probe);
-      if (source.valid()) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *source.schema());
-        return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
-            std::move(source), probe->probes(), filter->predicate(),
-            PushedFilter::FromSplit(std::move(split))));
-      }
-      return PhysicalOpPtr(nullptr);
+      IDF_ASSIGN_OR_RETURN(ScanSource source, ScanSource::Of(probe->read()));
+      PredicateSplit split =
+          SplitForCompilation(filter->predicate(), *source.schema());
+      return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
+          std::move(source), probe->probes(), filter->predicate(),
+          PushedFilter::FromSplit(std::move(split))));
     }
     if (child->kind() == PlanKind::kIndexedLookup) {
       const auto* lookup = static_cast<const IndexedLookupNode*>(child.get());
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(lookup->relation());
-      if (rel) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *rel->schema());
-        return PhysicalOpPtr(std::make_shared<IndexLookupOp>(
-            std::move(rel), lookup->keys(),
-            PushedFilter::FromSplit(std::move(split)), lookup->key_params()));
-      }
-      return PhysicalOpPtr(nullptr);
-    }
-    if (child->kind() == PlanKind::kSnapshotLookup) {
-      const auto* lookup = static_cast<const SnapshotLookupNode*>(child.get());
-      auto snap = std::dynamic_pointer_cast<PinnedSnapshot>(lookup->snapshot());
-      if (snap) {
-        PredicateSplit split =
-            SplitForCompilation(filter->predicate(), *snap->schema());
-        return PhysicalOpPtr(std::make_shared<SnapshotLookupOp>(
-            std::move(snap), lookup->keys(),
-            PushedFilter::FromSplit(std::move(split)), lookup->key_params()));
-      }
-      return PhysicalOpPtr(nullptr);
+      IDF_ASSIGN_OR_RETURN(ScanSource source, ScanSource::Of(lookup->read()));
+      PredicateSplit split =
+          SplitForCompilation(filter->predicate(), *source.schema());
+      return PhysicalOpPtr(std::make_shared<IndexLookupOp>(
+          std::move(source), lookup->keys(),
+          PushedFilter::FromSplit(std::move(split)), lookup->key_params()));
     }
     return PhysicalOpPtr(nullptr);
   }
@@ -443,118 +386,80 @@ Result<PhysicalOpPtr> IndexedExecutionStrategy::Plan(
     std::vector<int> cols;
     if (AllColumnRefs(project->exprs(), &cols)) {
       const LogicalPlanPtr& child = node->children()[0];
-      if (IsFusableScan(child)) {
-        ScanSource source = SourceOfScan(child);
-        if (source.valid()) {
-          return PhysicalOpPtr(std::make_shared<IndexedScanProjectOp>(
-              std::move(source), std::move(cols), node->output_schema()));
-        }
+      if (is_scan(child)) {
+        IDF_ASSIGN_OR_RETURN(ScanSource source, SourceOfScan(child));
+        return PhysicalOpPtr(std::make_shared<IndexedScanProjectOp>(
+            std::move(source), std::move(cols), node->output_schema()));
       }
-      if (child->kind() == PlanKind::kFilter &&
-          IsFusableScan(child->children()[0])) {
+      if (child->kind() == PlanKind::kFilter && is_scan(child->children()[0])) {
         const auto* filter = static_cast<const FilterNode*>(child.get());
-        ScanSource source = SourceOfScan(child->children()[0]);
-        if (source.valid()) {
-          PredicateSplit split =
-              SplitForCompilation(filter->predicate(), *source.schema());
-          if (split.compiled.has_value()) {
-            return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
-                std::move(source), filter->predicate(),
-                PushedFilter::FromSplit(std::move(split)), std::move(cols),
-                node->output_schema()));
-          }
+        IDF_ASSIGN_OR_RETURN(ScanSource source,
+                             SourceOfScan(child->children()[0]));
+        PredicateSplit split =
+            SplitForCompilation(filter->predicate(), *source.schema());
+        if (split.compiled.has_value()) {
+          return PhysicalOpPtr(std::make_shared<IndexedScanFilterOp>(
+              std::move(source), filter->predicate(),
+              PushedFilter::FromSplit(std::move(split)), std::move(cols),
+              node->output_schema()));
         }
       }
       if (child->kind() == PlanKind::kSecondaryProbe) {
         const auto* probe = static_cast<const SecondaryProbeNode*>(child.get());
-        ScanSource source = SourceOfProbe(probe);
-        if (source.valid()) {
-          return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
-              std::move(source), probe->probes(), nullptr, PushedFilter{},
-              std::move(cols), node->output_schema()));
-        }
+        IDF_ASSIGN_OR_RETURN(ScanSource source, ScanSource::Of(probe->read()));
+        return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
+            std::move(source), probe->probes(), nullptr, PushedFilter{},
+            std::move(cols), node->output_schema()));
       }
       if (child->kind() == PlanKind::kFilter &&
           child->children()[0]->kind() == PlanKind::kSecondaryProbe) {
         const auto* filter = static_cast<const FilterNode*>(child.get());
         const auto* probe =
             static_cast<const SecondaryProbeNode*>(child->children()[0].get());
-        ScanSource source = SourceOfProbe(probe);
-        if (source.valid()) {
-          PredicateSplit split =
-              SplitForCompilation(filter->predicate(), *source.schema());
-          return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
-              std::move(source), probe->probes(), filter->predicate(),
-              PushedFilter::FromSplit(std::move(split)), std::move(cols),
-              node->output_schema()));
-        }
+        IDF_ASSIGN_OR_RETURN(ScanSource source, ScanSource::Of(probe->read()));
+        PredicateSplit split =
+            SplitForCompilation(filter->predicate(), *source.schema());
+        return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
+            std::move(source), probe->probes(), filter->predicate(),
+            PushedFilter::FromSplit(std::move(split)), std::move(cols),
+            node->output_schema()));
       }
     }
     return PhysicalOpPtr(nullptr);
   }
   switch (node->kind()) {
     case PlanKind::kIndexedScan: {
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(
-          static_cast<const IndexedScanNode*>(node.get())->relation());
-      if (!rel) {
-        return Status::Internal("IndexedScan over a foreign relation type");
-      }
-      return PhysicalOpPtr(std::make_shared<IndexedScanOp>(std::move(rel)));
+      IDF_ASSIGN_OR_RETURN(ScanSource source, SourceOfScan(node));
+      return PhysicalOpPtr(std::make_shared<IndexedScanOp>(std::move(source)));
     }
     case PlanKind::kIndexedLookup: {
       const auto* lookup = static_cast<const IndexedLookupNode*>(node.get());
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(lookup->relation());
-      if (!rel) {
-        return Status::Internal("IndexedLookup over a foreign relation type");
-      }
+      IDF_ASSIGN_OR_RETURN(ScanSource source, ScanSource::Of(lookup->read()));
       return PhysicalOpPtr(std::make_shared<IndexLookupOp>(
-          std::move(rel), lookup->keys(), PushedFilter{},
-          lookup->key_params()));
-    }
-    case PlanKind::kSnapshotScan: {
-      auto snap = std::dynamic_pointer_cast<PinnedSnapshot>(
-          static_cast<const SnapshotScanNode*>(node.get())->snapshot());
-      if (!snap) {
-        return Status::Internal("SnapshotScan over a foreign snapshot type");
-      }
-      return PhysicalOpPtr(std::make_shared<SnapshotScanOp>(std::move(snap)));
-    }
-    case PlanKind::kSnapshotLookup: {
-      const auto* lookup = static_cast<const SnapshotLookupNode*>(node.get());
-      auto snap = std::dynamic_pointer_cast<PinnedSnapshot>(lookup->snapshot());
-      if (!snap) {
-        return Status::Internal("SnapshotLookup over a foreign snapshot type");
-      }
-      return PhysicalOpPtr(std::make_shared<SnapshotLookupOp>(
-          std::move(snap), lookup->keys(), PushedFilter{},
+          std::move(source), lookup->keys(), PushedFilter{},
           lookup->key_params()));
     }
     case PlanKind::kSecondaryProbe: {
       const auto* probe = static_cast<const SecondaryProbeNode*>(node.get());
-      ScanSource source = SourceOfProbe(probe);
-      if (!source.valid()) {
-        return Status::Internal("SecondaryProbe over a foreign relation type");
-      }
+      IDF_ASSIGN_OR_RETURN(ScanSource source, ScanSource::Of(probe->read()));
       return PhysicalOpPtr(std::make_shared<SecondaryIndexProbeOp>(
           std::move(source), probe->probes(), nullptr, PushedFilter{}));
     }
     case PlanKind::kIndexedJoin: {
       const auto* join = static_cast<const IndexedJoinNode*>(node.get());
-      auto rel = std::dynamic_pointer_cast<IndexedRelation>(join->relation());
-      if (!rel) {
-        return Status::Internal("IndexedJoin over a foreign relation type");
-      }
+      IDF_ASSIGN_OR_RETURN(ScanSource build, ScanSource::Of(join->build()));
       bool broadcast_probe =
           EstimateBytes(join->probe()) <=
           static_cast<double>(config.broadcast_threshold_bytes);
       PushedFilter build_filter;
       if (join->build_predicate()) {
         build_filter = PushedFilter::FromSplit(
-            SplitForCompilation(join->build_predicate(), *rel->schema()));
+            SplitForCompilation(join->build_predicate(), *build.schema()));
       }
       return PhysicalOpPtr(std::make_shared<IndexedJoinOp>(
-          std::move(rel), children[0], join->probe_key(), join->indexed_on_left(),
-          broadcast_probe, node->output_schema(), std::move(build_filter)));
+          std::move(build), children[0], join->probe_key(),
+          join->indexed_on_left(), broadcast_probe, node->output_schema(),
+          std::move(build_filter)));
     }
     default:
       return PhysicalOpPtr(nullptr);

@@ -12,8 +12,9 @@
 
 namespace idf {
 
-/// Filter(col = literal) over IndexedScan, where col is the indexed
-/// column, becomes IndexedLookup (plus a residual Filter for any remaining
+/// Filter(col = literal / $n / IN list) over IndexedScan, where col is the
+/// indexed column of one of the scan's access paths, becomes an
+/// IndexedLookup on that path (plus a residual Filter for any remaining
 /// conjuncts).
 class IndexedFilterRule : public OptimizerRule {
  public:
@@ -21,7 +22,7 @@ class IndexedFilterRule : public OptimizerRule {
   Result<LogicalPlanPtr> Apply(const LogicalPlanPtr& node) const override;
 };
 
-/// Filter over IndexedScan/SnapshotScan whose conjuncts include bitmap or
+/// Filter over IndexedScan whose conjuncts include bitmap or
 /// range predicates on secondary-indexed columns becomes a SecondaryProbe
 /// when index-kind costing says the cheapest probe's estimated selectivity
 /// beats the vectorized scan (at most `max_selectivity`). Every candidate
@@ -40,16 +41,18 @@ class SecondaryIndexFilterRule : public OptimizerRule {
   double max_selectivity_;
 };
 
-/// Join with an IndexedScan on one side, keyed on the indexed column,
-/// becomes IndexedJoin: the index is the build side, the other relation is
-/// the probe side.
+/// Join with an IndexedScan on one side, keyed on the indexed column of one
+/// of its access paths, becomes IndexedJoin: that index is the build side,
+/// the other input is the probe side. When both sides qualify, the build
+/// side is the one whose opposite (probe) input has the smaller
+/// EstimateRows; ties keep the left side.
 class IndexedJoinRule : public OptimizerRule {
  public:
   std::string name() const override { return "IndexedEquiJoin"; }
   Result<LogicalPlanPtr> Apply(const LogicalPlanPtr& node) const override;
 };
 
-/// Lowers IndexedScan/IndexedLookup/IndexedJoin logical nodes to the
+/// Lowers IndexedScan/IndexedLookup/SecondaryProbe/IndexedJoin nodes to the
 /// physical operators in indexed/indexed_operators.h. The probe side of an
 /// indexed join is broadcast instead of shuffled when its estimated size
 /// is under the session's broadcast threshold.

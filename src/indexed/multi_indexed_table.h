@@ -63,7 +63,10 @@ class MultiIndexedTable {
   Status AppendRows(const DataFrame& df) const;
   Status AppendRowsDirect(const RowVec& rows) const;
 
-  /// Scan view through the first index (any index holds all rows).
+  /// The table as one DataFrame whose scan has every index as an access
+  /// path: it scans through the first index (any index holds all rows),
+  /// and filters and joins on any indexed column get that index's lookup or
+  /// indexed join.
   Result<DataFrame> ToDataFrame() const;
 
   size_t NumRows() const;

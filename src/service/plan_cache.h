@@ -1,19 +1,21 @@
 // Parameterized plan cache for prepared statements (DESIGN.md §15).
 //
 // A prepared statement is parsed, analyzed, type-inferred, and optimized
-// ONCE; the cached artifact is the optimized logical tree with its
-// snapshot leaves replaced by pin-free stand-ins (DetachSnapshots), so a
-// cached plan never keeps MVCC pins — and thus retired storage
-// generations — alive between executions. Each execution re-attaches the
-// current epoch's pins by table name (RebindSnapshots), lowers the tree
+// ONCE, over unpinned relation reads: the cached artifact is an optimized
+// logical tree that holds no MVCC pins — and thus no retired storage
+// generations — between executions. An execution pins exactly the indexes
+// the statement reads at one epoch boundary (SnapshotManager::Pin),
+// attaches those pins to the reads (RebindSnapshots) — scans, lookups,
+// secondary probes and indexed-join build sides alike — lowers the tree
 // to physical operators WITHOUT re-running the optimizer
 // (Session::PlanOptimized), and re-binds the parameter values in place:
 // compiled predicates patch immediate slots (CompiledPredicate::
 // BindParams), interpreted filter/project expressions substitute
 // literals, and lookup operators fill key slots — no recompilation on the
-// hot path. The lowered plan is memoized per epoch under the statement's
-// mutex, so same-epoch executions share one physical tree and only an
-// append-driven epoch bump (or a DDL change) triggers re-lowering.
+// hot path. The lowered plan is memoized with its pins under the
+// statement's mutex: executions share one physical tree until an append
+// reaches one of the statement's indexes (or a DDL change), which is the
+// only thing that triggers re-lowering.
 //
 // The cache is an LRU keyed on a normalized SQL fingerprint (lowercased
 // outside string literals, whitespace collapsed). Statements are
@@ -40,69 +42,22 @@ namespace idf {
 /// `WHERE s = 'abc'` do not.
 std::string NormalizeSql(const std::string& sql);
 
-/// Pin-free stand-in for a pinned snapshot inside a cached plan: it
-/// carries the planning metadata (name, schema, index shape, stats as of
-/// prepare time) but holds no trie views, so caching a plan never retains
-/// storage. `table` is the service registration name used to re-attach
-/// the current pins at execution.
-class DetachedSnapshotRelation : public SnapshotRelationBase {
- public:
-  DetachedSnapshotRelation(std::string table, const SnapshotRelationBase& src)
-      : table_(std::move(table)),
-        name_(src.name()),
-        schema_(src.schema()),
-        indexed_column_(src.indexed_column()),
-        version_(src.version()),
-        num_rows_(src.num_rows()) {
-    const int cols = schema_->num_fields();
-    secondary_kinds_.reserve(static_cast<size_t>(cols));
-    for (int c = 0; c < cols; ++c) {
-      secondary_kinds_.push_back(src.secondary_index_kind(c));
-    }
-  }
+/// The distinct indexes `plan` reads (see MapRelationReads), in first-read
+/// order. Internal error for a relation of a foreign implementation.
+Result<std::vector<IndexedRelationPtr>> ReadRelations(const LogicalPlanPtr& plan);
 
-  const std::string& table() const { return table_; }
-
-  const std::string& name() const override { return name_; }
-  const SchemaPtr& schema() const override { return schema_; }
-  int indexed_column() const override { return indexed_column_; }
-  uint64_t version() const override { return version_; }
-  size_t num_rows() const override { return num_rows_; }
-  SecondaryIndexKind secondary_index_kind(int column) const override {
-    return column >= 0 && static_cast<size_t>(column) < secondary_kinds_.size()
-               ? secondary_kinds_[static_cast<size_t>(column)]
-               : SecondaryIndexKind::kNone;
-  }
-
- private:
-  std::string table_;
-  std::string name_;
-  SchemaPtr schema_;
-  int indexed_column_;
-  uint64_t version_;
-  size_t num_rows_;
-  std::vector<SecondaryIndexKind> secondary_kinds_;
-};
-
-/// Replaces every pinned snapshot leaf (SnapshotScan / SnapshotLookup /
-/// SecondaryProbe over a snapshot) with a DetachedSnapshotRelation
-/// stand-in. `snap` maps each pin back to its service table name (by
-/// pin identity); pins not found there fall back to the pin's own name.
-Result<LogicalPlanPtr> DetachSnapshots(const LogicalPlanPtr& plan,
-                                       const ServiceSnapshot& snap);
-
-/// Re-attaches the current epoch's pins to a detached plan by table name.
-/// Fails with KeyError when a table the plan references is no longer
-/// registered (DDL raced the execution).
+/// Attaches `pins` to every relation read in `plan`, matching reads to
+/// pins by relation identity. Internal error when a read has no pin.
 Result<LogicalPlanPtr> RebindSnapshots(const LogicalPlanPtr& plan,
-                                       const ServiceSnapshot& snap);
+                                       const IndexPins& pins);
 
-/// One epoch's lowered physical plan. The rebound logical tree holds the
-/// epoch's pins, keeping the frozen version alive for exactly as long as
-/// this BoundPlan is the statement's current one (plus in-flight
+/// A lowered physical plan and the pins it reads at. The rebound logical
+/// tree holds the pins, keeping the frozen versions alive for exactly as
+/// long as this BoundPlan is the statement's current one (plus in-flight
 /// executions that still share the pointer).
 struct BoundPlan {
-  uint64_t epoch = 0;
+  uint64_t epoch = 0;       ///< latest epoch the pins were current at
+  IndexPins pins;           ///< one per PreparedStatement::relations entry
   LogicalPlanPtr rebound;   ///< pin-holding logical tree (keeps pins alive)
   PhysicalOpPtr physical;   ///< lowered operators (immutable, share-safe)
 };
@@ -117,11 +72,16 @@ struct PreparedStatement {
   std::vector<TypeId> param_types;  ///< inferred, one per ordinal
   SchemaPtr result_schema;
 
-  /// Analyzed, typed, detached tree (the substitute-and-replan fallback
+  /// Analyzed, typed, unpinned tree (the substitute-and-replan fallback
   /// re-optimizes this per execution).
   LogicalPlanPtr analyzed;
-  /// Optimized detached tree; set only when `patchable`.
+  /// Optimized unpinned tree, reduced to the paths it scans
+  /// (ScannedPathsOnly); set only when `patchable`.
   LogicalPlanPtr optimized;
+  /// The indexes an execution pins: those `optimized` reads when
+  /// patchable, else every access path of `analyzed` (the fallback
+  /// re-optimizes it, so it may read any of them).
+  std::vector<IndexedRelationPtr> relations;
   /// True when every parameter sits in a position the physical operators
   /// re-bind per execution (sql/parameters.h); false forces the fallback.
   bool patchable = false;

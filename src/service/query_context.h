@@ -1,6 +1,7 @@
 // Per-query request/response types of the query service: submission
 // options (deadline, external cancellation) and the result envelope
-// (status, rows, the epoch the query read, and its latency breakdown).
+// (status, rows, the epoch the query read, the plan it ran, and its latency
+// breakdown).
 #pragma once
 
 #include <chrono>
@@ -8,6 +9,7 @@
 #include <string>
 
 #include "common/cancellation.h"
+#include "sql/physical_plan.h"
 #include "types/row.h"
 #include "types/schema.h"
 
@@ -37,6 +39,11 @@ struct QueryResult {
   /// reflects exactly the append batches committed before this epoch,
   /// across all tables the query touched.
   uint64_t epoch = 0;
+
+  /// The physical plan the query ran (null unless it succeeded). Read-only:
+  /// walk its operators or render it with TreeString(); it holds the pins
+  /// of `epoch` only as long as the result is kept.
+  std::shared_ptr<const PhysicalOp> plan;
 
   uint64_t queue_micros = 0;  ///< admission wait
   uint64_t exec_micros = 0;   ///< plan + execute

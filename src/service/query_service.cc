@@ -192,12 +192,6 @@ void QueryService::ReleaseExec(ExecutorContextPtr exec) {
 Status QueryService::RunAdmitted(const std::string& sql,
                                  const CancellationTokenPtr& token,
                                  QueryResult* result) {
-  // Pin the epoch snapshot first: everything the query sees is decided
-  // here, before planning, so planning time does not widen the window in
-  // which concurrent appends could slip into some tables but not others.
-  ServiceSnapshot snap = snapshots_->PinAll();
-  result->epoch = snap.epoch;
-
   // A per-query planning session over the shared worker pool: private
   // metrics, private cancellation, shared threads.
   IDF_ASSIGN_OR_RETURN(ExecutorContextPtr exec, AcquireExec());
@@ -205,14 +199,24 @@ Status QueryService::RunAdmitted(const std::string& sql,
   Status status = [&]() -> Status {
     IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
     InstallIndexedExtensions(*session);
-    for (const PinnedTable& table : snap.tables) {
-      IDF_RETURN_NOT_OK(session->RegisterTable(
-          table.table, session->FromPlan(std::make_shared<SnapshotScanNode>(
-                           table.primary()))));
-    }
+    IDF_RETURN_NOT_OK(snapshots_->RegisterTables(*session));
 
+    // Plan over unpinned reads, then pin exactly the indexes the plan
+    // reads, all at one epoch boundary: everything the query sees is
+    // decided there, however long planning took.
     IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(sql));
-    IDF_ASSIGN_OR_RETURN(result->rows, session->ExecuteCollect(df.plan()));
+    IDF_ASSIGN_OR_RETURN(LogicalPlanPtr optimized, session->OptimizeOnly(df.plan()));
+    optimized = ScannedPathsOnly(optimized);
+    IDF_ASSIGN_OR_RETURN(std::vector<IndexedRelationPtr> relations,
+                         ReadRelations(optimized));
+    EpochPins pins = snapshots_->Pin(relations);
+    result->epoch = pins.epoch;
+    IDF_ASSIGN_OR_RETURN(LogicalPlanPtr pinned,
+                         RebindSnapshots(optimized, pins.pins));
+    IDF_ASSIGN_OR_RETURN(PhysicalOpPtr plan, session->PlanOptimized(pinned));
+    IDF_ASSIGN_OR_RETURN(PartitionVec parts, plan->Execute(*exec));
+    result->rows = CollectRows(parts);
+    result->plan = std::move(plan);
     IDF_ASSIGN_OR_RETURN(result->schema, df.schema());
     // The deadline may have expired after the last operator finished; a
     // final check keeps "completed" and "timed out" mutually exclusive.
@@ -278,26 +282,24 @@ QueryResult QueryService::Execute(const std::string& sql,
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!result.status.ok()) result.rows.clear();
+  if (!result.status.ok()) {
+    result.rows.clear();
+    result.plan = nullptr;
+  }
   return result;
 }
 
 Result<PreparedStatementPtr> QueryService::BuildStatement(
     const std::string& sql, const std::string& fingerprint) {
-  // Pin a snapshot only for planning: the statement caches schemas and
-  // stats, not pins (DetachSnapshots), so prepared plans never hold
-  // storage generations alive between executions.
-  ServiceSnapshot snap = snapshots_->PinAll();
+  // Planning reads no data, so it pins nothing: the statement caches
+  // unpinned plans, which never hold storage generations alive between
+  // executions.
   IDF_ASSIGN_OR_RETURN(
       ExecutorContextPtr exec,
       ExecutorContext::MakeWithPool(config_.engine, base_exec_->shared_pool()));
   IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
   InstallIndexedExtensions(*session);
-  for (const PinnedTable& table : snap.tables) {
-    IDF_RETURN_NOT_OK(session->RegisterTable(
-        table.table, session->FromPlan(std::make_shared<SnapshotScanNode>(
-                         table.primary()))));
-  }
+  IDF_RETURN_NOT_OK(snapshots_->RegisterTables(*session));
 
   IDF_ASSIGN_OR_RETURN(PreparedParse parsed, ParseSqlPrepared(session, sql));
   IDF_ASSIGN_OR_RETURN(LogicalPlanPtr optimized,
@@ -311,10 +313,11 @@ Result<PreparedStatementPtr> QueryService::BuildStatement(
   stmt->result_schema = parsed.plan->output_schema();
   stmt->patchable = PlanIsParameterPatchable(optimized);
   stmt->ddl_version = ddl_version_.load(std::memory_order_acquire);
-  IDF_ASSIGN_OR_RETURN(stmt->analyzed, DetachSnapshots(parsed.plan, snap));
-  if (stmt->patchable) {
-    IDF_ASSIGN_OR_RETURN(stmt->optimized, DetachSnapshots(optimized, snap));
-  }
+  stmt->analyzed = parsed.plan;
+  if (stmt->patchable) stmt->optimized = ScannedPathsOnly(optimized);
+  IDF_ASSIGN_OR_RETURN(
+      stmt->relations,
+      ReadRelations(stmt->patchable ? stmt->optimized : stmt->analyzed));
   return stmt;
 }
 
@@ -384,10 +387,9 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
       exec->SetParameters(
           std::make_shared<const std::vector<Value>>(params));
       std::shared_ptr<const BoundPlan> bound;
-      // If the memoized plan is bound at the current committed epoch, a
-      // single atomic epoch read is the whole snapshot check: the bound
-      // plan's scan nodes hold their own pins, so no PinAll (and no
-      // snapshot copy) is needed per execution.
+      // If the memoized plan is current at the committed epoch, a single
+      // atomic epoch read is the whole snapshot check: the bound plan's
+      // reads hold their own pins, so nothing is pinned per execution.
       const uint64_t committed = snapshots_->epoch();
       {
         std::lock_guard<std::mutex> lock(stmt->mu);
@@ -396,14 +398,21 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
         }
       }
       if (bound == nullptr) {
-        // Epoch moved (or first execution): pin the current boundary,
-        // re-attach its pins, and re-lower — still no parse, analyze, or
-        // optimize.
-        ServiceSnapshot snap = snapshots_->PinAll();
+        // Epoch moved (or first execution): pin the statement's indexes at
+        // the current boundary. When no batch reached any of them, the
+        // pins are the bound plan's own and it is current as it stands;
+        // otherwise attach the new pins and re-lower — still no parse,
+        // analyze, or optimize.
+        EpochPins pins = snapshots_->Pin(stmt->relations);
         {
           std::lock_guard<std::mutex> lock(stmt->mu);
-          if (stmt->bound != nullptr && stmt->bound->epoch == snap.epoch) {
-            bound = stmt->bound;  // another execution re-bound first
+          if (stmt->bound != nullptr && stmt->bound->pins == pins.pins) {
+            if (stmt->bound->epoch != pins.epoch) {
+              auto moved = std::make_shared<BoundPlan>(*stmt->bound);
+              moved->epoch = pins.epoch;
+              stmt->bound = std::move(moved);
+            }
+            bound = stmt->bound;
           }
         }
         if (bound == nullptr) {
@@ -411,9 +420,10 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
                                Session::MakeWithContext(exec));
           InstallIndexedExtensions(*session);
           auto fresh = std::make_shared<BoundPlan>();
-          fresh->epoch = snap.epoch;
+          fresh->epoch = pins.epoch;
           IDF_ASSIGN_OR_RETURN(fresh->rebound,
-                               RebindSnapshots(stmt->optimized, snap));
+                               RebindSnapshots(stmt->optimized, pins.pins));
+          fresh->pins = std::move(pins.pins);
           IDF_ASSIGN_OR_RETURN(fresh->physical,
                                session->PlanOptimized(fresh->rebound));
           {
@@ -428,22 +438,30 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
       IDF_ASSIGN_OR_RETURN(PartitionVec parts, bound->physical->Execute(*exec));
       result->rows = CollectRows(parts);
       result->schema = stmt->result_schema;
+      // The result takes over this execution's reference to the bound
+      // plan rather than adding one to the shared physical tree: no extra
+      // refcount traffic on the statement every connection shares.
+      const PhysicalOp* ran = bound->physical.get();
+      result->plan = std::shared_ptr<const PhysicalOp>(std::move(bound), ran);
       return exec->CheckCancelled();
     }
     // Fallback for non-patchable shapes (a parameter sits in a join key,
     // sort key, or aggregate): substitute the values as literals into the
     // analyzed tree and run the normal optimize-and-execute pipeline.
     prepared_replans_.fetch_add(1, std::memory_order_relaxed);
-    ServiceSnapshot snap = snapshots_->PinAll();
-    result->epoch = snap.epoch;
+    EpochPins pins = snapshots_->Pin(stmt->relations);
+    result->epoch = pins.epoch;
     IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
     InstallIndexedExtensions(*session);
     IDF_ASSIGN_OR_RETURN(LogicalPlanPtr rebound,
-                         RebindSnapshots(stmt->analyzed, snap));
+                         RebindSnapshots(stmt->analyzed, pins.pins));
     IDF_ASSIGN_OR_RETURN(LogicalPlanPtr literal,
                          BindPlanParameters(rebound, params));
-    IDF_ASSIGN_OR_RETURN(result->rows, session->ExecuteCollect(literal));
+    IDF_ASSIGN_OR_RETURN(PhysicalOpPtr plan, session->PlanQuery(literal));
+    IDF_ASSIGN_OR_RETURN(PartitionVec parts, plan->Execute(*exec));
+    result->rows = CollectRows(parts);
     result->schema = stmt->result_schema;
+    result->plan = std::move(plan);
     return exec->CheckCancelled();
   }();
   FoldExecMetrics(*exec);
@@ -535,7 +553,10 @@ QueryResult QueryService::ExecutePrepared(uint64_t handle,
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!result.status.ok()) result.rows.clear();
+  if (!result.status.ok()) {
+    result.rows.clear();
+    result.plan = nullptr;
+  }
   return result;
 }
 

@@ -12,7 +12,6 @@ Status SnapshotManager::RegisterTable(const std::string& name,
     return Status::InvalidArgument("table already registered: " + name);
   }
   tables_[name] = Entry{{std::move(relation)}, nullptr};
-  InvalidateCache();
   return Status::OK();
 }
 
@@ -35,13 +34,7 @@ Status SnapshotManager::RegisterTable(const std::string& name,
     return Status::InvalidArgument("table already registered: " + name);
   }
   tables_[name] = std::move(entry);
-  InvalidateCache();
   return Status::OK();
-}
-
-void SnapshotManager::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cached_ = nullptr;
 }
 
 Status SnapshotManager::Append(const std::string& table, const RowVec& rows) {
@@ -75,40 +68,80 @@ Status SnapshotManager::Append(const std::string& table, const RowVec& rows) {
 }
 
 ServiceSnapshot SnapshotManager::PinAll() {
-  // Fast path: a snapshot already pinned at the current committed epoch.
-  // An in-flight batch hasn't bumped the epoch yet, so readers sail past
-  // it here instead of blocking on the gate until it lands.
-  const uint64_t committed = epoch_.load(std::memory_order_acquire);
+  ServiceSnapshot snap;
+  std::vector<IndexedRelationPtr> relations;
   {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    if (cached_ != nullptr && cached_->epoch == committed) return *cached_;
+    std::shared_lock<std::shared_mutex> lock(gate_);
+    snap.tables.reserve(tables_.size());
+    for (const auto& [name, entry] : tables_) {
+      PinnedTable table;
+      table.table = name;
+      for (const IndexedRelationPtr& rel : entry.indexes) {
+        table.pins.emplace_back(rel, nullptr);
+        relations.push_back(rel);
+      }
+      snap.tables.push_back(std::move(table));
+    }
   }
+  EpochPins pins = PinIndexes(relations, /*require_sunk=*/true);
+  snap.epoch = pins.epoch;
+  auto next = pins.pins.begin();
+  for (PinnedTable& table : snap.tables) {
+    for (auto& [rel, pin] : table.pins) pin = (next++)->second;
+  }
+  return snap;
+}
+
+EpochPins SnapshotManager::PinIndexes(
+    const std::vector<IndexedRelationPtr>& relations, bool require_sunk) {
+  EpochPins out;
+  out.pins.reserve(relations.size());
+  // The epoch around the pins: an append bumps its indexes' versions
+  // before it bumps the epoch, and pins are captured only with no batch in
+  // flight, so pins still current below reflect every batch committed by
+  // `out.epoch` and none after it — provided the epoch did not move while
+  // they were read (a newer pin may have replaced one meanwhile).
+  out.epoch = epoch_.load(std::memory_order_acquire);
+  bool current = !require_sunk ||
+                 out.epoch <= gated_epoch_.load(std::memory_order_acquire);
+  if (current) {
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    for (const IndexedRelationPtr& rel : relations) {
+      auto it = last_pins_.find(rel);
+      if (it == last_pins_.end()) break;
+      out.pins.emplace_back(rel, it->second);
+    }
+  }
+  current = current && out.pins.size() == relations.size();
+  for (size_t i = 0; current && i < out.pins.size(); ++i) {
+    current = out.pins[i].first->PinIsCurrent(*out.pins[i].second);
+  }
+  if (current && epoch_.load(std::memory_order_acquire) == out.epoch) return out;
 
   std::unique_lock<std::shared_mutex> lock(gate_);
-  // Another pinner may have refreshed the cache while we waited. Inside
-  // the exclusive section the epoch cannot move.
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    if (cached_ != nullptr && cached_->epoch == epoch) return *cached_;
+  out.epoch = epoch_.load(std::memory_order_acquire);
+  out.pins.clear();
+  std::lock_guard<std::mutex> cache_lock(cache_mu_);
+  for (auto it = last_pins_.begin(); it != last_pins_.end();) {
+    it = it->first->PinIsCurrent(*it->second) ? std::next(it) : last_pins_.erase(it);
   }
-  auto snap = std::make_shared<ServiceSnapshot>();
-  snap->epoch = epoch;
-  snap->tables.reserve(tables_.size());
+  for (const IndexedRelationPtr& rel : relations) {
+    PinnedSnapshotPtr& pin = last_pins_[rel];
+    if (pin == nullptr) pin = rel->Pin();
+    out.pins.emplace_back(rel, pin);
+  }
+  gated_epoch_.store(out.epoch, std::memory_order_release);
+  return out;
+}
+
+Status SnapshotManager::RegisterTables(Session& session) const {
+  std::shared_lock<std::shared_mutex> lock(gate_);
   for (const auto& [name, entry] : tables_) {
-    PinnedTable pinned;
-    pinned.table = name;
-    pinned.pins.reserve(entry.indexes.size());
-    for (const IndexedRelationPtr& rel : entry.indexes) {
-      pinned.pins.emplace_back(rel->indexed_column(), rel->Pin());
-    }
-    snap->tables.push_back(std::move(pinned));
+    std::vector<RelationRead> paths(entry.indexes.begin(), entry.indexes.end());
+    IDF_RETURN_NOT_OK(session.RegisterTable(
+        name, session.FromPlan(std::make_shared<IndexedScanNode>(std::move(paths)))));
   }
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    cached_ = snap;
-  }
-  return *snap;
+  return Status::OK();
 }
 
 std::vector<IndexedRelationPtr> SnapshotManager::Relations() const {

@@ -9,22 +9,24 @@
 //    multi-indexed table keeps one IndexedRelation per index). Appenders
 //    therefore run concurrently with each other, exactly as without the
 //    manager.
-//  - PinAll() holds the gate EXCLUSIVE while it captures the per-partition
-//    trie views of every index of every registered table. No batch can be
-//    mid-flight at that instant, so a reader never observes a torn batch:
-//    half of a multi-partition append, or a row present in one index of a
-//    table but missing from another.
+//  - A pin holds the gate EXCLUSIVE while it captures the per-partition
+//    trie views of the indexes it pins. No batch can be mid-flight at
+//    that instant, so a reader never observes a torn batch: half of a
+//    multi-partition append, or a row present in one index of a table but
+//    missing from another.
 //
-// Pinning is O(total partitions) pointer captures (the CTrie's O(1)
+// Pinning is O(pinned partitions) pointer captures (the CTrie's O(1)
 // snapshot per partition), so the exclusive section is microseconds even
 // with many tables; appends are delayed by at most that.
 //
-// Pins are additionally cached per epoch: while no batch commits, every
-// PinAll() after the first returns the cached snapshot without touching
-// the gate at all. Readers therefore never wait behind an in-flight
-// append batch (its epoch bump only lands at commit) — only the first
-// pin after a commit takes the exclusive section. This is what keeps
-// reader tail latency flat under a continuous append stream.
+// Each index keeps its last pin. While no batch has reached an index since
+// then, that pin is current and is handed out again: a pin whose indexes
+// are all current takes no gate at all. Readers therefore never wait
+// behind an in-flight append batch (its version bumps only land at
+// commit) and never re-pin an index no batch touched — which keeps reader
+// tail latency flat under a continuous append stream, and spares the
+// untouched index the path copies a fresh trie generation would cost its
+// next append.
 #pragma once
 
 #include <atomic>
@@ -37,21 +39,31 @@
 
 #include "indexed/indexed_relation.h"
 #include "indexed/multi_indexed_table.h"
+#include "sql/session.h"
 
 namespace idf {
 
-/// One registered table's pins, captured at one epoch. `pins[i]` pairs the
-/// index column ordinal with that index's pinned snapshot; `primary()` is
-/// the first (only) index for single-index tables.
+/// Indexes paired with their pins.
+using IndexPins = std::vector<std::pair<IndexedRelationPtr, PinnedSnapshotPtr>>;
+
+/// One registered table's pins, captured at one epoch. `pins[i]` pairs
+/// the table's i-th index (registration order) with its pin; `primary()`
+/// is the first (only) index for single-index tables.
 struct PinnedTable {
   std::string table;
-  std::vector<std::pair<int, PinnedSnapshotPtr>> pins;
+  IndexPins pins;
 
   const PinnedSnapshotPtr& primary() const { return pins.front().second; }
 };
 
-/// A consistent cross-table snapshot: every pin was captured inside the
-/// same exclusive section, with no append batch mid-flight.
+/// Pins of some indexes, all captured at one epoch boundary.
+struct EpochPins {
+  uint64_t epoch = 0;
+  IndexPins pins;
+};
+
+/// A consistent cross-table snapshot: every pin reflects the same epoch
+/// boundary, with no append batch mid-flight.
 struct ServiceSnapshot {
   uint64_t epoch = 0;
   std::vector<PinnedTable> tables;
@@ -108,7 +120,7 @@ class SnapshotManager {
   Status RegisterTable(const std::string& name, IndexedRelationPtr relation);
 
   /// Registers a multi-index table: appends through the manager reach all
-  /// of its indexes inside one epoch, and PinAll captures all of them.
+  /// of its indexes inside one epoch.
   Status RegisterTable(const std::string& name,
                        std::shared_ptr<MultiIndexedTable> table);
 
@@ -116,10 +128,26 @@ class SnapshotManager {
   /// step. Concurrent appends to any tables run in parallel; pinners wait.
   Status Append(const std::string& table, const RowVec& rows);
 
-  /// Pins every index of every registered table at one epoch boundary.
-  /// Served from the per-epoch cache when no batch has committed since
-  /// the last pin (no gate acquisition on that path).
+  /// Pin() over every index of every registered table, grouped by table.
+  /// Every commit up to the returned epoch has also reached the commit
+  /// sink (the view subsystem relies on this to drain its delta queue up
+  /// to the pin).
   ServiceSnapshot PinAll();
+
+  /// Pins just `relations` (e.g. the indexes one query reads) at one epoch
+  /// boundary: the latest committed epoch. An index no batch has reached
+  /// since its last pin keeps that pin — pinning again would only start a
+  /// new trie generation, which makes the index's next append path-copy —
+  /// and indexes a query does not read are never pinned on its behalf.
+  /// When every index still has a current pin, no gate is taken at all.
+  EpochPins Pin(const std::vector<IndexedRelationPtr>& relations) {
+    return PinIndexes(relations, /*require_sunk=*/false);
+  }
+
+  /// Registers every table with `session` as one scan leaf whose access
+  /// paths are all its indexes, unpinned: a plan over them is pinned
+  /// afterwards (Pin + RebindSnapshots) at the epoch it runs at.
+  Status RegisterTables(Session& session) const;
 
   /// Epochs committed so far (monotonic; one per Append batch).
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -135,7 +163,11 @@ class SnapshotManager {
   std::vector<IndexedRelationPtr> Relations() const;
 
  private:
-  void InvalidateCache();
+  /// Pin(); with `require_sunk`, the gate-free path is taken only when the
+  /// epoch has not moved past the last exclusive section, so every commit
+  /// up to the returned epoch has finished its OnCommit call.
+  EpochPins PinIndexes(const std::vector<IndexedRelationPtr>& relations,
+                       bool require_sunk);
 
   struct Entry {
     // Every index of the table; one element for single-index tables. The
@@ -156,11 +188,16 @@ class SnapshotManager {
   std::atomic<CommitSink*> sink_{nullptr};
   std::mutex commit_mu_;
 
-  // Epoch-keyed pin cache (separate tiny lock: held only for a pointer
-  // compare/copy, never while pinning or appending). Invalidated by
-  // RegisterTable; superseded naturally by epoch bumps.
+  // Each index's last pin, while it is current: an entry that has gone
+  // stale is dropped at the next exclusive section, so a pin no query
+  // wants does not keep a retired generation alive. Guarded by cache_mu_
+  // (a tiny lock held for pointer copies); written only under the
+  // exclusive gate.
   mutable std::mutex cache_mu_;
-  std::shared_ptr<const ServiceSnapshot> cached_;
+  std::map<IndexedRelationPtr, PinnedSnapshotPtr> last_pins_;
+  // The epoch seen inside the last exclusive section: every commit up to
+  // it had finished (OnCommit included) when that section began.
+  std::atomic<uint64_t> gated_epoch_{0};
 };
 
 }  // namespace idf

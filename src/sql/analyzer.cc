@@ -17,8 +17,6 @@ Result<LogicalPlanPtr> AnalyzeNode(const LogicalPlanPtr& plan) {
     case PlanKind::kCacheScan:
     case PlanKind::kIndexedScan:
     case PlanKind::kIndexedLookup:
-    case PlanKind::kSnapshotScan:
-    case PlanKind::kSnapshotLookup:
     case PlanKind::kSecondaryProbe:
       // Leaf nodes are born analyzed: their schema comes from the table.
       return plan;
@@ -100,11 +98,11 @@ Result<LogicalPlanPtr> AnalyzeNode(const LogicalPlanPtr& plan) {
       const Schema& ps = *probe->output_schema();
       IDF_ASSIGN_OR_RETURN(ExprPtr pk, BindExpr(node->probe_key(), ps));
       IDF_RETURN_NOT_OK(pk->ResultType(ps).status());
-      const Schema& is = *node->relation()->schema();
+      const Schema& is = *node->build().schema();
       SchemaPtr out = node->indexed_on_left() ? Schema::Concat(is, ps)
                                               : Schema::Concat(ps, is);
       return LogicalPlanPtr(std::make_shared<IndexedJoinNode>(
-          node->relation(), std::move(probe), std::move(pk),
+          node->build(), std::move(probe), std::move(pk),
           node->indexed_on_left(), std::move(out)));
     }
 

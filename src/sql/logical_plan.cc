@@ -30,10 +30,6 @@ std::string PlanKindToString(PlanKind kind) {
       return "IndexedLookup";
     case PlanKind::kIndexedJoin:
       return "IndexedJoin";
-    case PlanKind::kSnapshotScan:
-      return "SnapshotScan";
-    case PlanKind::kSnapshotLookup:
-      return "SnapshotLookup";
     case PlanKind::kUnionAll:
       return "UnionAll";
     case PlanKind::kSecondaryProbe:
@@ -124,15 +120,23 @@ LogicalPlanPtr CacheScanNode::WithChildren(
   return std::make_shared<CacheScanNode>(table_);
 }
 
+std::string RelationRead::Label() const {
+  return pin ? rel->name() + "@v" + std::to_string(pin->version()) : rel->name();
+}
+
 std::string IndexedScanNode::ToString() const {
-  return "IndexedScan [" + rel_->name() + "] indexed_col=" +
-         output_schema()->field(rel_->indexed_column()).name;
+  std::string out = "IndexedScan [" + read().Label() + "] indexed_col=";
+  for (size_t i = 0; i < paths_.size(); ++i) {
+    if (i > 0) out += ",";
+    out += output_schema()->field(paths_[i].indexed_column()).name;
+  }
+  return out;
 }
 
 LogicalPlanPtr IndexedScanNode::WithChildren(
     std::vector<LogicalPlanPtr> children) const {
   IDF_CHECK(children.empty());
-  return std::make_shared<IndexedScanNode>(rel_);
+  return std::make_shared<IndexedScanNode>(paths_);
 }
 
 std::string FilterNode::ToString() const {
@@ -255,37 +259,8 @@ LogicalPlanPtr UnionAllNode::WithChildren(
   return std::make_shared<UnionAllNode>(std::move(children), output_schema());
 }
 
-std::string SnapshotScanNode::ToString() const {
-  return "SnapshotScan [" + snapshot_->name() + "@v" +
-         std::to_string(snapshot_->version()) + "]";
-}
-
-LogicalPlanPtr SnapshotScanNode::WithChildren(
-    std::vector<LogicalPlanPtr> children) const {
-  IDF_CHECK(children.empty());
-  return std::make_shared<SnapshotScanNode>(snapshot_);
-}
-
-std::string SnapshotLookupNode::ToString() const {
-  std::string out = "SnapshotLookup [" + snapshot_->name() + "] key=";
-  auto render = [&](size_t i) {
-    return (i < key_params_.size() && key_params_[i] >= 0)
-               ? "$" + std::to_string(key_params_[i] + 1)
-               : keys_[i].ToString();
-  };
-  if (keys_.size() == 1) return out + render(0);
-  return out + "{" + std::to_string(keys_.size()) + " keys}";
-}
-
-LogicalPlanPtr SnapshotLookupNode::WithChildren(
-    std::vector<LogicalPlanPtr> children) const {
-  IDF_CHECK(children.empty());
-  return std::make_shared<SnapshotLookupNode>(snapshot_, keys_, key_params_);
-}
-
 std::string SecondaryProbeNode::ToString() const {
-  std::string out = "SecondaryProbe [" + (rel_ ? rel_->name() : snap_->name()) +
-                    "] ";
+  std::string out = "SecondaryProbe [" + read_.Label() + "] ";
   for (size_t i = 0; i < probes_.size(); ++i) {
     if (i > 0) out += " AND ";
     out += probes_[i].ToString();
@@ -296,12 +271,11 @@ std::string SecondaryProbeNode::ToString() const {
 LogicalPlanPtr SecondaryProbeNode::WithChildren(
     std::vector<LogicalPlanPtr> children) const {
   IDF_CHECK(children.empty());
-  if (rel_) return std::make_shared<SecondaryProbeNode>(rel_, probes_);
-  return std::make_shared<SecondaryProbeNode>(snap_, probes_);
+  return std::make_shared<SecondaryProbeNode>(read_, probes_);
 }
 
 std::string IndexedLookupNode::ToString() const {
-  std::string out = "IndexedLookup [" + rel_->name() + "] key=";
+  std::string out = "IndexedLookup [" + read_.Label() + "] key=";
   auto render = [&](size_t i) {
     return (i < key_params_.size() && key_params_[i] >= 0)
                ? "$" + std::to_string(key_params_[i] + 1)
@@ -319,11 +293,11 @@ std::string IndexedLookupNode::ToString() const {
 LogicalPlanPtr IndexedLookupNode::WithChildren(
     std::vector<LogicalPlanPtr> children) const {
   IDF_CHECK(children.empty());
-  return std::make_shared<IndexedLookupNode>(rel_, keys_, key_params_);
+  return std::make_shared<IndexedLookupNode>(read_, keys_, key_params_);
 }
 
 std::string IndexedJoinNode::ToString() const {
-  return "IndexedJoin [" + rel_->name() + "] probe_key=" + probe_key_->ToString() +
+  return "IndexedJoin [" + build_.Label() + "] probe_key=" + probe_key_->ToString() +
          (indexed_on_left_ ? " (indexed side: left)" : " (indexed side: right)") +
          (build_predicate_ ? " build_filter=" + build_predicate_->ToString() : "");
 }
@@ -331,9 +305,80 @@ std::string IndexedJoinNode::ToString() const {
 LogicalPlanPtr IndexedJoinNode::WithChildren(
     std::vector<LogicalPlanPtr> children) const {
   IDF_CHECK_EQ(children.size(), 1u);
-  return std::make_shared<IndexedJoinNode>(rel_, std::move(children[0]), probe_key_,
+  return std::make_shared<IndexedJoinNode>(build_, std::move(children[0]), probe_key_,
                                            indexed_on_left_, output_schema(),
                                            build_predicate_);
+}
+
+Result<LogicalPlanPtr> MapRelationReads(
+    const LogicalPlanPtr& plan,
+    const std::function<Result<RelationRead>(const RelationRead&)>& map) {
+  std::vector<LogicalPlanPtr> kids;
+  kids.reserve(plan->children().size());
+  bool changed = false;
+  for (const LogicalPlanPtr& child : plan->children()) {
+    IDF_ASSIGN_OR_RETURN(LogicalPlanPtr k, MapRelationReads(child, map));
+    changed = changed || (k != child);
+    kids.push_back(std::move(k));
+  }
+  switch (plan->kind()) {
+    case PlanKind::kIndexedScan: {
+      const auto* scan = static_cast<const IndexedScanNode*>(plan.get());
+      std::vector<RelationRead> paths;
+      paths.reserve(scan->access_paths().size());
+      bool moved = false;
+      for (const RelationRead& path : scan->access_paths()) {
+        IDF_ASSIGN_OR_RETURN(RelationRead mapped, map(path));
+        moved = moved || !(mapped == path);
+        paths.push_back(std::move(mapped));
+      }
+      if (!moved) return plan;
+      return LogicalPlanPtr(std::make_shared<IndexedScanNode>(std::move(paths)));
+    }
+    case PlanKind::kIndexedLookup: {
+      const auto* lookup = static_cast<const IndexedLookupNode*>(plan.get());
+      IDF_ASSIGN_OR_RETURN(RelationRead read, map(lookup->read()));
+      if (read == lookup->read()) return plan;
+      return LogicalPlanPtr(std::make_shared<IndexedLookupNode>(
+          std::move(read), lookup->keys(), lookup->key_params()));
+    }
+    case PlanKind::kSecondaryProbe: {
+      const auto* probe = static_cast<const SecondaryProbeNode*>(plan.get());
+      IDF_ASSIGN_OR_RETURN(RelationRead read, map(probe->read()));
+      if (read == probe->read()) return plan;
+      return LogicalPlanPtr(
+          std::make_shared<SecondaryProbeNode>(std::move(read), probe->probes()));
+    }
+    case PlanKind::kIndexedJoin: {
+      const auto* join = static_cast<const IndexedJoinNode*>(plan.get());
+      IDF_ASSIGN_OR_RETURN(RelationRead build, map(join->build()));
+      if (!changed && build == join->build()) return plan;
+      return LogicalPlanPtr(std::make_shared<IndexedJoinNode>(
+          std::move(build), std::move(kids[0]), join->probe_key(),
+          join->indexed_on_left(), plan->output_schema(),
+          join->build_predicate()));
+    }
+    default:
+      break;
+  }
+  if (!changed) return plan;
+  return plan->WithChildren(std::move(kids));
+}
+
+LogicalPlanPtr ScannedPathsOnly(const LogicalPlanPtr& plan) {
+  if (plan->kind() == PlanKind::kIndexedScan) {
+    const auto* scan = static_cast<const IndexedScanNode*>(plan.get());
+    if (scan->access_paths().size() == 1) return plan;
+    return std::make_shared<IndexedScanNode>(scan->read());
+  }
+  std::vector<LogicalPlanPtr> kids;
+  kids.reserve(plan->children().size());
+  bool changed = false;
+  for (const LogicalPlanPtr& child : plan->children()) {
+    kids.push_back(ScannedPathsOnly(child));
+    changed = changed || (kids.back() != child);
+  }
+  return changed ? plan->WithChildren(std::move(kids)) : plan;
 }
 
 }  // namespace idf

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -105,6 +106,66 @@ class IndexedRelationBase {
 };
 using IndexedRelationBasePtr = std::shared_ptr<IndexedRelationBase>;
 
+/// \brief A frozen version of an indexed relation: the read handle a pin
+/// holds on the relation's shared index at one frontier. Implemented by
+/// indexed::PinnedSnapshot. It is not a relation of its own — it always
+/// travels with its relation inside a RelationRead.
+class SnapshotRelationBase {
+ public:
+  virtual ~SnapshotRelationBase() = default;
+  virtual uint64_t version() const = 0;
+  /// Rows visible at this version.
+  virtual size_t num_rows() const = 0;
+  /// Kind of the secondary index on `column` at this version (kNone when
+  /// the version predates the index or it has none).
+  virtual SecondaryIndexKind secondary_index_kind(int column) const {
+    (void)column;
+    return SecondaryIndexKind::kNone;
+  }
+  /// Estimated rows a secondary probe would emit (see IndexedRelationBase).
+  virtual uint64_t EstimateSecondaryMatches(const SecondaryProbe& probe) const {
+    (void)probe;
+    return num_rows();
+  }
+};
+using SnapshotRelationBasePtr = std::shared_ptr<SnapshotRelationBase>;
+
+/// \brief A read of one indexed relation at a version: the relation
+/// (name, schema, index shape) plus an optional pin. A pinned read sees
+/// exactly the pin's frozen version (the query service passes its epoch
+/// pins); an unpinned read sees the version current when its operator
+/// starts executing (the Session path). Every indexed access — scan,
+/// lookup, secondary probe, indexed-join build side — reads through one.
+struct RelationRead {
+  IndexedRelationBasePtr rel;
+  SnapshotRelationBasePtr pin;
+
+  RelationRead() = default;
+  /// Implicit from any indexed relation pointer: an unpinned read.
+  template <typename R>
+  RelationRead(std::shared_ptr<R> relation,  // NOLINT(runtime/explicit)
+               SnapshotRelationBasePtr version = nullptr)
+      : rel(std::move(relation)), pin(std::move(version)) {}
+
+  const std::string& name() const { return rel->name(); }
+  const SchemaPtr& schema() const { return rel->schema(); }
+  int indexed_column() const { return rel->indexed_column(); }
+  /// Statistics at the read's version: the pin's when pinned.
+  size_t num_rows() const { return pin ? pin->num_rows() : rel->num_rows(); }
+  SecondaryIndexKind secondary_index_kind(int column) const {
+    return pin ? pin->secondary_index_kind(column)
+               : rel->secondary_index_kind(column);
+  }
+  uint64_t EstimateSecondaryMatches(const SecondaryProbe& probe) const {
+    return pin ? pin->EstimateSecondaryMatches(probe)
+               : rel->EstimateSecondaryMatches(probe);
+  }
+  /// `name`, or `name@vN` when pinned at version N.
+  std::string Label() const;
+
+  bool operator==(const RelationRead&) const = default;
+};
+
 // ---------------------------------------------------------------------------
 // Plan nodes
 // ---------------------------------------------------------------------------
@@ -122,8 +183,6 @@ enum class PlanKind : uint8_t {
   kTopK,
   kIndexedLookup,
   kIndexedJoin,
-  kSnapshotScan,
-  kSnapshotLookup,
   kUnionAll,
   kSecondaryProbe,
 };
@@ -198,18 +257,34 @@ class CacheScanNode : public LogicalPlan {
   CachedTablePtr table_;
 };
 
+/// Scan of an indexed table (leaf). The table may carry several indexes
+/// (a MultiIndexedTable): each is an access path — a RelationRead on one
+/// index, all pinned at the same version when pinned. Every path holds all
+/// rows; the first is the one scanned, and the indexed rules pick whichever
+/// path's indexed column a predicate or join key names.
 class IndexedScanNode : public LogicalPlan {
  public:
-  explicit IndexedScanNode(IndexedRelationBasePtr rel)
-      : LogicalPlan(PlanKind::kIndexedScan, {}, rel->schema()),
-        rel_(std::move(rel)) {}
+  explicit IndexedScanNode(RelationRead read)
+      : IndexedScanNode(std::vector<RelationRead>{std::move(read)}) {}
+  explicit IndexedScanNode(std::vector<RelationRead> access_paths)
+      : LogicalPlan(PlanKind::kIndexedScan, {}, access_paths.front().schema()),
+        paths_(std::move(access_paths)) {}
 
-  const IndexedRelationBasePtr& relation() const { return rel_; }
+  /// The scanned access path.
+  const RelationRead& read() const { return paths_.front(); }
+  const std::vector<RelationRead>& access_paths() const { return paths_; }
+  /// The access path indexed on column ordinal `col`, or null.
+  const RelationRead* PathIndexedOn(int col) const {
+    for (const RelationRead& path : paths_) {
+      if (path.indexed_column() == col) return &path;
+    }
+    return nullptr;
+  }
   std::string ToString() const override;
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 
  private:
-  IndexedRelationBasePtr rel_;
+  std::vector<RelationRead> paths_;
 };
 
 class FilterNode : public LogicalPlan {
@@ -373,98 +448,27 @@ class UnionAllNode : public LogicalPlan {
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 };
 
-/// \brief Abstract pinned snapshot of an indexed relation: a frozen version
-/// captured at a point in time. Implemented by indexed::PinnedSnapshot.
-/// Queries over it read that version forever, no matter how much the live
-/// relation grows — the API surface of the paper's multi-version
-/// concurrency.
-class SnapshotRelationBase {
+/// Point lookup of one or more keys on an indexed relation at a version:
+/// produced by the indexed filter rule (rewriting `Filter(col = lit)`,
+/// `Filter(col = $n)` and `Filter(col IN (...))` over an IndexedScan whose
+/// access path is indexed on col) or directly by the GetRows API.
+class IndexedLookupNode : public LogicalPlan {
  public:
-  virtual ~SnapshotRelationBase() = default;
-  virtual const std::string& name() const = 0;
-  virtual const SchemaPtr& schema() const = 0;
-  /// Ordinal of the indexed column (the frozen index still serves point
-  /// lookups on it).
-  virtual int indexed_column() const = 0;
-  virtual uint64_t version() const = 0;
-  virtual size_t num_rows() const = 0;
-  /// Kind of the secondary index on `column` in the frozen version (kNone
-  /// when the snapshot predates the index or it has none).
-  virtual SecondaryIndexKind secondary_index_kind(int column) const {
-    (void)column;
-    return SecondaryIndexKind::kNone;
-  }
-  /// Estimated rows a secondary probe would emit (see IndexedRelationBase).
-  virtual uint64_t EstimateSecondaryMatches(const SecondaryProbe& probe) const {
-    (void)probe;
-    return num_rows();
-  }
-};
-using SnapshotRelationBasePtr = std::shared_ptr<SnapshotRelationBase>;
+  IndexedLookupNode(RelationRead read, Value key)
+      : IndexedLookupNode(std::move(read), std::vector<Value>{std::move(key)}) {}
 
-/// Scan of a pinned snapshot (leaf).
-class SnapshotScanNode : public LogicalPlan {
- public:
-  explicit SnapshotScanNode(SnapshotRelationBasePtr snapshot)
-      : LogicalPlan(PlanKind::kSnapshotScan, {}, snapshot->schema()),
-        snapshot_(std::move(snapshot)) {}
-
-  const SnapshotRelationBasePtr& snapshot() const { return snapshot_; }
-  std::string ToString() const override;
-  LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
-
- private:
-  SnapshotRelationBasePtr snapshot_;
-};
-
-/// Point lookup of one or more keys against a pinned snapshot — the same
-/// rewrite as IndexedLookupNode, but reading the frozen version: produced
-/// by the indexed filter rule for `Filter(col = lit)` / `col IN (...)`
-/// over a SnapshotScan, so service queries against an MVCC snapshot keep
-/// index-speed point reads instead of degrading to full scans.
-class SnapshotLookupNode : public LogicalPlan {
- public:
-  SnapshotLookupNode(SnapshotRelationBasePtr snapshot, std::vector<Value> keys,
-                     std::vector<int> key_params = {})
-      : LogicalPlan(PlanKind::kSnapshotLookup, {}, snapshot->schema()),
-        snapshot_(std::move(snapshot)),
+  IndexedLookupNode(RelationRead read, std::vector<Value> keys,
+                    std::vector<int> key_params = {})
+      : LogicalPlan(PlanKind::kIndexedLookup, {}, read.schema()),
+        read_(std::move(read)),
         keys_(std::move(keys)),
         key_params_(std::move(key_params)) {}
 
-  const SnapshotRelationBasePtr& snapshot() const { return snapshot_; }
+  const RelationRead& read() const { return read_; }
   const std::vector<Value>& keys() const { return keys_; }
   /// Parallel to keys(): key_params()[i] >= 0 marks keys()[i] as a
   /// prepared-statement placeholder filled from that parameter ordinal at
   /// execution time. Empty means "all keys are literals".
-  const std::vector<int>& key_params() const { return key_params_; }
-  std::string ToString() const override;
-  LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
-
- private:
-  SnapshotRelationBasePtr snapshot_;
-  std::vector<Value> keys_;
-  std::vector<int> key_params_;
-};
-
-/// Point lookup of one or more keys on an indexed relation: produced by
-/// the indexed filter rule (rewriting `Filter(col = lit)` and
-/// `Filter(col IN (...))` over an IndexedScan) or directly by the GetRows
-/// API.
-class IndexedLookupNode : public LogicalPlan {
- public:
-  IndexedLookupNode(IndexedRelationBasePtr rel, Value key)
-      : IndexedLookupNode(std::move(rel), std::vector<Value>{std::move(key)}) {}
-
-  IndexedLookupNode(IndexedRelationBasePtr rel, std::vector<Value> keys,
-                    std::vector<int> key_params = {})
-      : LogicalPlan(PlanKind::kIndexedLookup, {}, rel->schema()),
-        rel_(std::move(rel)),
-        keys_(std::move(keys)),
-        key_params_(std::move(key_params)) {}
-
-  const IndexedRelationBasePtr& relation() const { return rel_; }
-  const std::vector<Value>& keys() const { return keys_; }
-  /// Parallel to keys(); see SnapshotLookupNode::key_params.
   const std::vector<int>& key_params() const { return key_params_; }
   /// Convenience for the single-key case.
   const Value& key() const { return keys_[0]; }
@@ -472,32 +476,25 @@ class IndexedLookupNode : public LogicalPlan {
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 
  private:
-  IndexedRelationBasePtr rel_;
+  RelationRead read_;
   std::vector<Value> keys_;
   std::vector<int> key_params_;
 };
 
-/// Secondary-index probe (leaf): the rows of an indexed relation — live or
-/// pinned (exactly one of the two handles is set) — matching a bitmap or
-/// range predicate on a secondary-indexed column. Produced by the indexed
-/// filter rule's index-kind costing when the probe's estimated selectivity
-/// beats the vectorized scan; the physical operator emits the index's row
-/// positions as a selection vector feeding the usual decode-survivors path.
+/// Secondary-index probe (leaf): the rows of an indexed relation, at the
+/// read's version, matching a bitmap or range predicate on a
+/// secondary-indexed column. Produced by the indexed filter rule's
+/// index-kind costing when the probe's estimated selectivity beats the
+/// vectorized scan; the physical operator emits the index's row positions
+/// as a selection vector feeding the usual decode-survivors path.
 class SecondaryProbeNode : public LogicalPlan {
  public:
-  SecondaryProbeNode(IndexedRelationBasePtr rel,
-                     std::vector<SecondaryProbe> probes)
-      : LogicalPlan(PlanKind::kSecondaryProbe, {}, rel->schema()),
-        rel_(std::move(rel)),
-        probes_(std::move(probes)) {}
-  SecondaryProbeNode(SnapshotRelationBasePtr snap,
-                     std::vector<SecondaryProbe> probes)
-      : LogicalPlan(PlanKind::kSecondaryProbe, {}, snap->schema()),
-        snap_(std::move(snap)),
+  SecondaryProbeNode(RelationRead read, std::vector<SecondaryProbe> probes)
+      : LogicalPlan(PlanKind::kSecondaryProbe, {}, read.schema()),
+        read_(std::move(read)),
         probes_(std::move(probes)) {}
 
-  const IndexedRelationBasePtr& relation() const { return rel_; }
-  const SnapshotRelationBasePtr& snapshot() const { return snap_; }
+  const RelationRead& read() const { return read_; }
   /// ANDed probes; the first is the costing-chosen driver (lowest
   /// selectivity), the rest intersect into it (bitmap-AND).
   const std::vector<SecondaryProbe>& probes() const { return probes_; }
@@ -507,20 +504,17 @@ class SecondaryProbeNode : public LogicalPlan {
     for (const SecondaryProbe& p : probes_) s = std::min(s, p.selectivity);
     return s;
   }
-  size_t source_rows() const {
-    return rel_ ? rel_->num_rows() : snap_->num_rows();
-  }
   std::string ToString() const override;
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 
  private:
-  IndexedRelationBasePtr rel_;
-  SnapshotRelationBasePtr snap_;
+  RelationRead read_;
   std::vector<SecondaryProbe> probes_;
 };
 
-/// Indexed equi-join: the indexed relation is the (pre-built) build side;
-/// the probe child is shuffled to the index's partitioning or broadcast.
+/// Indexed equi-join: the indexed relation, read at the build read's
+/// version, is the (pre-built) build side; the probe child is shuffled to
+/// the index's partitioning or broadcast.
 class IndexedJoinNode : public LogicalPlan {
  public:
   /// `indexed_on_left` records which side of the original join the indexed
@@ -529,16 +523,16 @@ class IndexedJoinNode : public LogicalPlan {
   /// schema — absorbed from a pushed-down Filter over the build-side scan;
   /// the physical join evaluates it against the encoded build rows during
   /// the chain walk.
-  IndexedJoinNode(IndexedRelationBasePtr rel, LogicalPlanPtr probe,
-                  ExprPtr probe_key, bool indexed_on_left,
-                  SchemaPtr schema = nullptr, ExprPtr build_predicate = nullptr)
+  IndexedJoinNode(RelationRead build, LogicalPlanPtr probe, ExprPtr probe_key,
+                  bool indexed_on_left, SchemaPtr schema = nullptr,
+                  ExprPtr build_predicate = nullptr)
       : LogicalPlan(PlanKind::kIndexedJoin, {std::move(probe)}, std::move(schema)),
-        rel_(std::move(rel)),
+        build_(std::move(build)),
         probe_key_(std::move(probe_key)),
         indexed_on_left_(indexed_on_left),
         build_predicate_(std::move(build_predicate)) {}
 
-  const IndexedRelationBasePtr& relation() const { return rel_; }
+  const RelationRead& build() const { return build_; }
   const LogicalPlanPtr& probe() const { return children()[0]; }
   const ExprPtr& probe_key() const { return probe_key_; }
   bool indexed_on_left() const { return indexed_on_left_; }
@@ -547,10 +541,24 @@ class IndexedJoinNode : public LogicalPlan {
   LogicalPlanPtr WithChildren(std::vector<LogicalPlanPtr> children) const override;
 
  private:
-  IndexedRelationBasePtr rel_;
+  RelationRead build_;
   ExprPtr probe_key_;
   bool indexed_on_left_;
   ExprPtr build_predicate_;
 };
+
+/// Rewrites every RelationRead in the tree — the access paths of each
+/// IndexedScan, each lookup and secondary probe, and each indexed-join
+/// build side — through `map`. Subtrees whose reads all map to themselves
+/// are shared, not copied. This is how the plan cache strips pins from a
+/// cached plan and re-attaches the current epoch's pins.
+Result<LogicalPlanPtr> MapRelationReads(
+    const LogicalPlanPtr& plan,
+    const std::function<Result<RelationRead>(const RelationRead&)>& map);
+
+/// `plan` with every IndexedScan reduced to the one access path it scans.
+/// The other paths only matter to the optimizer; dropping them from an
+/// optimized tree keeps the indexes it does not read out of its pins.
+LogicalPlanPtr ScannedPathsOnly(const LogicalPlanPtr& plan);
 
 }  // namespace idf

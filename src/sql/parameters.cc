@@ -127,7 +127,7 @@ class ParameterTypeInference {
             InferExpr(join->probe_key(), *join->probe()->output_schema()));
         if (join->build_predicate() != nullptr) {
           return InferExpr(join->build_predicate(),
-                           *join->relation()->schema());
+                           *join->build().schema());
         }
         return Status::OK();
       }
@@ -376,33 +376,10 @@ Result<LogicalPlanPtr> RewritePlan(const LogicalPlanPtr& node,
         return node;
       }
       return std::static_pointer_cast<const LogicalPlan>(
-          std::make_shared<IndexedJoinNode>(j->relation(), kids[0],
+          std::make_shared<IndexedJoinNode>(j->build(), kids[0],
                                             std::move(pk), j->indexed_on_left(),
                                             node->output_schema(),
                                             std::move(bp)));
-    }
-    case PlanKind::kSnapshotLookup: {
-      const auto* l = static_cast<const SnapshotLookupNode*>(node.get());
-      if (key_bindings == nullptr || l->key_params().empty()) {
-        return child_or_self();
-      }
-      std::vector<Value> keys;
-      keys.reserve(l->keys().size());
-      for (size_t i = 0; i < l->keys().size(); ++i) {
-        const int p = i < l->key_params().size() ? l->key_params()[i] : -1;
-        if (p < 0) {
-          keys.push_back(l->keys()[i]);
-          continue;
-        }
-        if (static_cast<size_t>(p) >= key_bindings->size()) {
-          return Status::Internal("lookup key parameter out of range");
-        }
-        if ((*key_bindings)[static_cast<size_t>(p)].is_null()) continue;
-        keys.push_back((*key_bindings)[static_cast<size_t>(p)]);
-      }
-      return std::static_pointer_cast<const LogicalPlan>(
-          std::make_shared<SnapshotLookupNode>(l->snapshot(),
-                                               std::move(keys)));
     }
     case PlanKind::kIndexedLookup: {
       const auto* l = static_cast<const IndexedLookupNode*>(node.get());
@@ -424,7 +401,7 @@ Result<LogicalPlanPtr> RewritePlan(const LogicalPlanPtr& node,
         keys.push_back((*key_bindings)[static_cast<size_t>(p)]);
       }
       return std::static_pointer_cast<const LogicalPlan>(
-          std::make_shared<IndexedLookupNode>(l->relation(), std::move(keys)));
+          std::make_shared<IndexedLookupNode>(l->read(), std::move(keys)));
     }
     default:
       return child_or_self();
@@ -432,15 +409,8 @@ Result<LogicalPlanPtr> RewritePlan(const LogicalPlanPtr& node,
 }
 
 bool LookupHasParamKeys(const LogicalPlan& node) {
-  const std::vector<int>* key_params = nullptr;
-  if (node.kind() == PlanKind::kSnapshotLookup) {
-    key_params = &static_cast<const SnapshotLookupNode&>(node).key_params();
-  } else if (node.kind() == PlanKind::kIndexedLookup) {
-    key_params = &static_cast<const IndexedLookupNode&>(node).key_params();
-  } else {
-    return false;
-  }
-  for (int p : *key_params) {
+  if (node.kind() != PlanKind::kIndexedLookup) return false;
+  for (int p : static_cast<const IndexedLookupNode&>(node).key_params()) {
     if (p >= 0) return true;
   }
   return false;
@@ -499,7 +469,6 @@ bool PlanIsParameterPatchable(const LogicalPlanPtr& optimized) {
   switch (optimized->kind()) {
     case PlanKind::kFilter:
     case PlanKind::kProject:
-    case PlanKind::kSnapshotLookup:
     case PlanKind::kIndexedLookup:
       // FilterOp / ProjectOp / the lookup operators (and the pushed
       // filters fused into indexed scans) all re-bind from the execution

@@ -59,17 +59,14 @@ double EstimateRows(const LogicalPlanPtr& plan) {
           static_cast<const CacheScanNode*>(plan.get())->table()->num_rows());
     case PlanKind::kIndexedScan:
       return static_cast<double>(
-          static_cast<const IndexedScanNode*>(plan.get())->relation()->num_rows());
+          static_cast<const IndexedScanNode*>(plan.get())->read().num_rows());
     case PlanKind::kIndexedLookup:
-    case PlanKind::kSnapshotLookup:
       return 8;  // point lookup: a handful of rows per key
     case PlanKind::kSecondaryProbe: {
       const auto* probe = static_cast<const SecondaryProbeNode*>(plan.get());
-      return probe->selectivity() * static_cast<double>(probe->source_rows());
+      return probe->selectivity() *
+             static_cast<double>(probe->read().num_rows());
     }
-    case PlanKind::kSnapshotScan:
-      return static_cast<double>(
-          static_cast<const SnapshotScanNode*>(plan.get())->snapshot()->num_rows());
     case PlanKind::kFilter:
       return 0.3 * EstimateRows(plan->children()[0]);
     case PlanKind::kProject:
@@ -216,8 +213,6 @@ Result<PhysicalOpPtr> RegularExecutionStrategy::Plan(
     case PlanKind::kIndexedScan:
     case PlanKind::kIndexedLookup:
     case PlanKind::kIndexedJoin:
-    case PlanKind::kSnapshotScan:
-    case PlanKind::kSnapshotLookup:
       // Handled by the indexed execution strategy; not installed here.
       return PhysicalOpPtr(nullptr);
   }

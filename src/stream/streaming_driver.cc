@@ -71,14 +71,16 @@ Result<StreamingReport> RunStreamingWorkload(
     queue.Close();
   });
 
-  // Query threads: run against snapshots while the stream flows.
+  // Query threads: run against snapshots while the stream flows. Each runs
+  // at least one query, even when the stream finishes before the thread is
+  // first scheduled.
   std::vector<std::thread> query_threads;
   std::vector<LatencyRecorder> query_recorders(
       static_cast<size_t>(std::max(0, config.num_query_threads)));
   std::vector<size_t> query_counts(query_recorders.size(), 0);
   for (size_t t = 0; t < query_recorders.size(); ++t) {
     query_threads.emplace_back([&, t] {
-      while (!stop_queries.load(std::memory_order_acquire)) {
+      do {
         auto q0 = Clock::now();
         Status st = query();
         auto q1 = Clock::now();
@@ -93,7 +95,7 @@ Result<StreamingReport> RunStreamingWorkload(
           std::this_thread::sleep_for(
               std::chrono::microseconds(config.query_pause_micros));
         }
-      }
+      } while (!stop_queries.load(std::memory_order_acquire));
     });
   }
 

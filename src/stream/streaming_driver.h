@@ -58,7 +58,8 @@ struct StreamingReport {
 ///  * a producer generating `config.num_batches` batches via `make_batch`,
 ///  * an appender feeding them into `idf` (fine-grained appendRows),
 ///  * `config.num_query_threads` threads repeatedly running `query` (e.g.
-///    an index lookup of a hot key) until the stream is drained.
+///    an index lookup of a hot key) until the stream is drained — each at
+///    least once, however quickly the stream drains.
 Result<StreamingReport> RunStreamingWorkload(
     const IndexedDataFrame& idf,
     const std::function<RowVec(size_t batch_no)>& make_batch,

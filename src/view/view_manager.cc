@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "indexed/indexed_rules.h"
+#include "service/plan_cache.h"
 #include "sql/analyzer.h"
 #include "sql/session.h"
 
@@ -77,8 +78,8 @@ PinnedSnapshotPtr FindPin(const ServiceSnapshot& snap, const std::string& table,
                           int col) {
   const PinnedTable* t = snap.find(table);
   if (t == nullptr) return nullptr;
-  for (const auto& [ordinal, pin] : t->pins) {
-    if (ordinal == col) return pin;
+  for (const auto& [rel, pin] : t->pins) {
+    if (rel->indexed_column() == col) return pin;
   }
   return nullptr;
 }
@@ -473,13 +474,14 @@ Result<RowVec> MaterializedViewManager::RecomputeAgainst(
       ExecutorContext::MakeWithPool(exec_->config(), exec_->shared_pool()));
   IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
   InstallIndexedExtensions(*session);
-  for (const PinnedTable& table : snap.tables) {
-    IDF_RETURN_NOT_OK(session->RegisterTable(
-        table.table, session->FromPlan(std::make_shared<SnapshotScanNode>(
-                         table.primary()))));
-  }
+  IDF_RETURN_NOT_OK(snapshots_->RegisterTables(*session));
   IDF_ASSIGN_OR_RETURN(DataFrame df, session->Sql(sql));
-  return session->ExecuteCollect(df.plan());
+  IndexPins pins;
+  for (const PinnedTable& table : snap.tables) {
+    pins.insert(pins.end(), table.pins.begin(), table.pins.end());
+  }
+  IDF_ASSIGN_OR_RETURN(LogicalPlanPtr pinned, RebindSnapshots(df.plan(), pins));
+  return session->ExecuteCollect(pinned);
 }
 
 Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(

@@ -380,8 +380,13 @@ TEST_F(IndexedDataFrameTest, PinnedViewFreezesAVersion) {
   auto filtered =
       df.Filter(Eq(Col("payload"), Lit(Value("late")))).ValueOrDie();
   EXPECT_EQ(filtered.Count().ValueOrDie(), 0u);  // "late" rows are post-pin
+  // The frozen scan is the one relation-read leaf, read at the pin's
+  // version; the relation renders with its version tag exactly once.
   std::string plan = df.Explain().ValueOrDie();
-  EXPECT_NE(plan.find("SnapshotScan"), std::string::npos);
+  const std::string tag = "base_by_k@v" + std::to_string(v0);
+  EXPECT_NE(plan.find("IndexedScan [" + tag + "]"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("IndexedScan[" + tag + "]"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find(tag + "@v"), std::string::npos) << plan;
 }
 
 TEST_F(IndexedDataFrameTest, SuccessivePinsSeeSuccessiveVersions) {

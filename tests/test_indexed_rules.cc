@@ -143,6 +143,100 @@ TEST_F(IndexedRulesTest, JoinRuleIgnoresRegularJoin) {
   EXPECT_EQ(IndexedJoinRule().Apply(plan).ValueOrDie(), nullptr);
 }
 
+// Both sides indexed on their keys, one filtered (SQ6's shape): the build
+// side is the one whose opposite input — the probe — is estimated smaller,
+// whichever side of the join it sits on.
+TEST_F(IndexedRulesTest, JoinRuleBuildsOnTheSideWithTheSmallerProbe) {
+  auto schema2 = Schema::Make({{"id", TypeId::kInt64, true},
+                               {"ref", TypeId::kInt64, true}});
+  RowVec rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back({Value(i), Value(i % 4)});
+  // 100 rows indexed on `ref`: filtered on `id`, the side is estimated at
+  // 30 rows, against 50 for the bare side.
+  auto filtered_rel =
+      IndexedRelation::Build(*ctx_, "filtered", schema2, 1, rows).ValueOrDie();
+  RowVec bare_rows;
+  for (int64_t i = 0; i < 50; ++i) {
+    bare_rows.push_back({Value(i % 4), Value("b" + std::to_string(i))});
+  }
+  auto bare_rel =
+      IndexedRelation::Build(*ctx_, "bare", schema_, 0, bare_rows).ValueOrDie();
+  auto filtered_side = std::make_shared<FilterNode>(
+      std::make_shared<IndexedScanNode>(filtered_rel),
+      Eq(Col("id"), Lit(Value(int64_t{7}))));
+  auto bare_side = std::make_shared<IndexedScanNode>(bare_rel);
+  ASSERT_LT(EstimateRows(Analyze(filtered_side).ValueOrDie()),
+            EstimateRows(bare_side));
+
+  for (bool filtered_on_left : {true, false}) {
+    SCOPED_TRACE(filtered_on_left ? "filtered side left" : "filtered side right");
+    LogicalPlanPtr left = filtered_on_left ? LogicalPlanPtr(filtered_side)
+                                           : LogicalPlanPtr(bare_side);
+    LogicalPlanPtr right = filtered_on_left ? LogicalPlanPtr(bare_side)
+                                            : LogicalPlanPtr(filtered_side);
+    ExprPtr left_key = filtered_on_left ? Col("ref") : Col("k");
+    ExprPtr right_key = filtered_on_left ? Col("k") : Col("ref");
+    auto plan = Analyze(std::make_shared<JoinNode>(left, right, left_key,
+                                                   right_key))
+                    .ValueOrDie();
+    auto rewritten = IndexedJoinRule().Apply(plan).ValueOrDie();
+    ASSERT_NE(rewritten, nullptr);
+    const auto* join = static_cast<const IndexedJoinNode*>(rewritten.get());
+    // The bare relation is the build side; the filtered one is probed.
+    EXPECT_EQ(join->build().rel, IndexedRelationBasePtr(bare_rel));
+    EXPECT_EQ(join->indexed_on_left(), !filtered_on_left);
+    EXPECT_EQ(join->probe()->kind(), PlanKind::kFilter);
+    EXPECT_EQ(join->build_predicate(), nullptr);
+    EXPECT_TRUE(join->output_schema()->Equals(*plan->output_schema()));
+  }
+}
+
+TEST_F(IndexedRulesTest, JoinRuleKeepsLeftBuildSideOnTiedEstimates) {
+  RowVec rows;
+  for (int64_t i = 0; i < 20; ++i) rows.push_back({Value(i), Value("t")});
+  auto twin = IndexedRelation::Build(*ctx_, "twin", schema_, 0, rows).ValueOrDie();
+  ASSERT_EQ(twin->num_rows(), rel_->num_rows());
+  auto plan = Analyze(std::make_shared<JoinNode>(
+                          IndexedScan(), std::make_shared<IndexedScanNode>(twin),
+                          Col("k"), Col("k")))
+                  .ValueOrDie();
+  auto rewritten = IndexedJoinRule().Apply(plan).ValueOrDie();
+  ASSERT_NE(rewritten, nullptr);
+  const auto* join = static_cast<const IndexedJoinNode*>(rewritten.get());
+  EXPECT_TRUE(join->indexed_on_left());
+  EXPECT_EQ(join->build().rel, IndexedRelationBasePtr(rel_));
+}
+
+// A scan with several access paths (a multi-index table): the filter and
+// join rules use whichever path is indexed on the column they need.
+TEST_F(IndexedRulesTest, RulesPickTheAccessPathIndexedOnTheColumn) {
+  RowVec rows;
+  for (int64_t i = 0; i < 20; ++i) {
+    rows.push_back({Value(i), Value("v" + std::to_string(i % 5))});
+  }
+  auto by_k = IndexedRelation::Build(*ctx_, "t_by_k", schema_, 0, rows).ValueOrDie();
+  auto by_v = IndexedRelation::Build(*ctx_, "t_by_v", schema_, 1, rows).ValueOrDie();
+  auto scan = std::make_shared<IndexedScanNode>(
+      std::vector<RelationRead>{RelationRead(by_k), RelationRead(by_v)});
+
+  auto filter = Analyze(std::make_shared<FilterNode>(
+                            scan, Eq(Col("v"), Lit(Value("v3")))))
+                    .ValueOrDie();
+  auto lookup = IndexedFilterRule().Apply(filter).ValueOrDie();
+  ASSERT_NE(lookup, nullptr);
+  ASSERT_EQ(lookup->kind(), PlanKind::kIndexedLookup);
+  EXPECT_EQ(static_cast<const IndexedLookupNode*>(lookup.get())->read().rel,
+            IndexedRelationBasePtr(by_v));
+
+  auto join = Analyze(std::make_shared<JoinNode>(RegularScan(), scan, Col("a"),
+                                                 Col("k")))
+                  .ValueOrDie();
+  auto rewritten = IndexedJoinRule().Apply(join).ValueOrDie();
+  ASSERT_NE(rewritten, nullptr);
+  EXPECT_EQ(static_cast<const IndexedJoinNode*>(rewritten.get())->build().rel,
+            IndexedRelationBasePtr(by_k));
+}
+
 TEST_F(IndexedRulesTest, StrategyLowersIndexedNodes) {
   IndexedExecutionStrategy strategy;
   EngineConfig cfg = ctx_->config();

@@ -127,14 +127,14 @@ TEST(SnapshotIsolationTest, SameEpochPinsShareTheCachedSnapshot) {
   ASSERT_TRUE(service->RegisterTable("t", rel).ok());
   SnapshotManager& mgr = service->snapshots();
 
-  // No epoch moved between the pins: the second is served from the cache
-  // and shares the first's pinned-snapshot objects outright.
+  // No epoch moved between the pins: the second reuses the first's
+  // pinned-snapshot objects outright.
   ServiceSnapshot a = mgr.PinAll();
   ServiceSnapshot b = mgr.PinAll();
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.find("t")->primary().get(), b.find("t")->primary().get());
 
-  // A committed batch supersedes the cache: a later pin sits on the new
+  // A committed batch supersedes those pins: a later pin sits on the new
   // boundary while the earlier pins still read the old one.
   ASSERT_TRUE(service->Append("t", Batch(1)).ok());
   ServiceSnapshot c = mgr.PinAll();
@@ -144,8 +144,7 @@ TEST(SnapshotIsolationTest, SameEpochPinsShareTheCachedSnapshot) {
   EXPECT_EQ(c.find("t")->primary()->num_rows(),
             static_cast<size_t>(2 * kBatchRows));
 
-  // Registering a table invalidates the cache even though the epoch is
-  // unchanged: the next pin must include the newcomer.
+  // A table registered while the epoch stays put is still in the next pin.
   auto df2 =
       session->CreateDataFrame(TwoColSchema(), Batch(0), "u").ValueOrDie();
   auto rel2 = IndexedDataFrame::CreateIndex(df2, 0, "u_by_id").ValueOrDie()
@@ -154,6 +153,90 @@ TEST(SnapshotIsolationTest, SameEpochPinsShareTheCachedSnapshot) {
   ServiceSnapshot d = mgr.PinAll();
   EXPECT_EQ(d.epoch, c.epoch);
   ASSERT_NE(d.find("u"), nullptr);
+}
+
+TEST(SnapshotIsolationTest, UntouchedTablesKeepTheirPinAcrossEpochs) {
+  auto service = QueryService::Make(SmallEngine()).ValueOrDie();
+  auto session = Session::Make(SmallEngine().engine).ValueOrDie();
+  for (const char* name : {"t", "u"}) {
+    auto df = session->CreateDataFrame(TwoColSchema(), Batch(0), name).ValueOrDie();
+    auto rel = IndexedDataFrame::CreateIndex(df, 0, name).ValueOrDie().relation();
+    ASSERT_TRUE(service->RegisterTable(name, rel).ok());
+  }
+  SnapshotManager& mgr = service->snapshots();
+  ServiceSnapshot a = mgr.PinAll();
+  ASSERT_TRUE(service->Append("t", Batch(1)).ok());
+  ServiceSnapshot b = mgr.PinAll();
+  EXPECT_EQ(b.epoch, a.epoch + 1);
+  // The batch reached only `t`: `u`'s pin is already this epoch's view and
+  // is reused, while `t` is pinned afresh at the new boundary.
+  EXPECT_EQ(b.find("u")->primary().get(), a.find("u")->primary().get());
+  EXPECT_NE(b.find("t")->primary().get(), a.find("t")->primary().get());
+  EXPECT_EQ(b.find("t")->primary()->num_rows(),
+            static_cast<size_t>(2 * kBatchRows));
+  EXPECT_EQ(b.find("u")->primary()->num_rows(), static_cast<size_t>(kBatchRows));
+}
+
+// A scan of a two-index table reads one index; the other must not be
+// pinned on its behalf. A pin starts a new trie generation, so the next
+// append to a freshly pinned index path-copies and allocates more nodes
+// than one that runs against an unpinned trie.
+TEST(SnapshotIsolationTest, ScansPinOnlyTheIndexTheyRead) {
+  auto service = QueryService::Make(SmallEngine()).ValueOrDie();
+  auto session = Session::Make(SmallEngine().engine).ValueOrDie();
+  auto df =
+      session->CreateDataFrame(TwoColSchema(), Batch(0), "posts").ValueOrDie();
+  auto table = std::make_shared<MultiIndexedTable>(
+      MultiIndexedTable::Create(df, {"id", "owner"}, "posts").ValueOrDie());
+  ASSERT_TRUE(service->RegisterTable("posts", table).ok());
+  IndexedRelationPtr by_owner = table->Index("owner").ValueOrDie().relation();
+  SnapshotManager& mgr = service->snapshots();
+
+  int64_t next_id = kBatchRows;
+  auto nodes_of_next_append = [&] {
+    const size_t before = by_owner->arena_bytes();
+    EXPECT_TRUE(service->Append("posts", {{Value(next_id++), Value(int64_t{7})}}).ok());
+    return by_owner->arena_bytes() - before;
+  };
+  nodes_of_next_append();  // absorbs any pin taken while loading
+
+  const uint64_t handle =
+      service->Prepare("SELECT COUNT(*) FROM posts WHERE id >= ?").ValueOrDie().handle;
+  const size_t after_scan = [&] {
+    QueryResult scan = service->Execute("SELECT COUNT(*) FROM posts");
+    EXPECT_TRUE(scan.ok()) << scan.status.ToString();
+    return nodes_of_next_append();
+  }();
+  const size_t after_prepared_scan = [&] {
+    QueryResult scan = service->ExecutePrepared(handle, {Value(int64_t{0})});
+    EXPECT_TRUE(scan.ok()) << scan.status.ToString();
+    EXPECT_EQ(scan.rows[0][0], Value(int64_t{kBatchRows + 2}));
+    return nodes_of_next_append();
+  }();
+  mgr.Pin({by_owner});
+  const size_t after_pin = nodes_of_next_append();
+  EXPECT_LT(after_scan, after_pin);
+  EXPECT_LT(after_prepared_scan, after_pin);
+}
+
+// A pin that has gone stale is never handed out again; keeping it would
+// only hold its retired trie generation alive. The next exclusive pin
+// section drops it, even when no query reads that index any more.
+TEST(SnapshotIsolationTest, StalePinsOfUnreadIndexesAreReleased) {
+  auto service = QueryService::Make(SmallEngine()).ValueOrDie();
+  auto session = Session::Make(SmallEngine().engine).ValueOrDie();
+  auto df =
+      session->CreateDataFrame(TwoColSchema(), Batch(0), "posts").ValueOrDie();
+  auto table = std::make_shared<MultiIndexedTable>(
+      MultiIndexedTable::Create(df, {"id", "owner"}, "posts").ValueOrDie());
+  ASSERT_TRUE(service->RegisterTable("posts", table).ok());
+
+  std::weak_ptr<PinnedSnapshot> owner_pin =
+      service->snapshots().PinAll().find("posts")->pins[1].second;
+  ASSERT_FALSE(owner_pin.expired());
+  ASSERT_TRUE(service->Append("posts", Batch(1)).ok());
+  ASSERT_TRUE(service->Execute("SELECT COUNT(*) FROM posts").ok());
+  EXPECT_TRUE(owner_pin.expired());
 }
 
 TEST(SnapshotIsolationTest, SqlReadersSeeOnlyEpochBoundaries) {

@@ -140,6 +140,26 @@ TEST_F(StreamingWorkloadTest, AppendsAllBatchesAndRunsQueries) {
   EXPECT_FALSE(report->ToString().empty());
 }
 
+TEST_F(StreamingWorkloadTest, EveryQueryThreadRunsEvenWhenTheStreamIsEmpty) {
+  // With no batches the stream drains at once, typically before the query
+  // threads are first scheduled; each must still run a query.
+  StreamingConfig cfg;
+  cfg.num_batches = 0;
+  cfg.num_query_threads = 3;
+  std::atomic<size_t> calls{0};
+  auto report = RunStreamingWorkload(
+      *idf_, [](size_t) { return RowVec{}; },
+      [&calls]() {
+        calls.fetch_add(1);
+        return Status::OK();
+      },
+      cfg);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->batches_appended, 0u);
+  EXPECT_GE(report->queries_run, 3u);
+  EXPECT_EQ(report->queries_run, calls.load());
+}
+
 TEST_F(StreamingWorkloadTest, QueriesSeeMonotonicallyGrowingResults) {
   // Every query sees a consistent snapshot; for a single hot key under an
   // insert-only stream, observed result sizes must never shrink.
