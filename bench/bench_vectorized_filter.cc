@@ -6,9 +6,10 @@
 //    EvalEncoded called row by row on identical payload pointers. This
 //    isolates the vectorization win from scan plumbing; its
 //    speedup_vs_scalar counter is the headline number.
-//  - SelectiveScan / FusedGroupBy: the full operators with
-//    EngineConfig::vectorized_execution on vs off — what a query actually
-//    sees, including flatten, morsel dispatch, and survivor decode.
+//  - SelectiveScan / FusedGroupBy / FusedGlobalAgg: the full vectorized
+//    operators — what a query actually sees, including flatten, morsel
+//    dispatch, and survivor decode. These report wall time only; the
+//    kernel pair carries the scalar comparison.
 //
 // Sweeps selectivity via the `v < threshold` arg: 10 keeps ~1% (filter
 // cost dominates), 500 keeps ~50% (decode amortizes the eval win).
@@ -32,9 +33,8 @@ namespace {
 constexpr int64_t kRows = 200000;
 
 struct Fixture {
-  SessionPtr vec_session;     // vectorized_execution = true (the default)
-  SessionPtr scalar_session;  // vectorized_execution = false
-  IndexedRelationPtr rel;     // {k, v, d, s, a, b}
+  SessionPtr session;
+  IndexedRelationPtr rel;  // {k, v, d, s, a, b}
   SchemaPtr schema;
 };
 
@@ -43,9 +43,7 @@ Fixture& SharedFixture() {
     auto fx = new Fixture();
     EngineConfig cfg;
     cfg.num_partitions = 8;
-    fx->vec_session = Session::Make(cfg).ValueOrDie();
-    cfg.vectorized_execution = false;
-    fx->scalar_session = Session::Make(cfg).ValueOrDie();
+    fx->session = Session::Make(cfg).ValueOrDie();
 
     fx->schema = Schema::Make({{"k", TypeId::kInt64, false},
                                {"v", TypeId::kInt64, true},
@@ -61,7 +59,7 @@ Fixture& SharedFixture() {
                       Value(0.5 * (i % 53)), Value("tag-" + std::to_string(i % 31)),
                       Value(i % 1024), Value(static_cast<double>(i % 7))});
     }
-    auto df = fx->vec_session->CreateDataFrame(fx->schema, rows, "t").ValueOrDie();
+    auto df = fx->session->CreateDataFrame(fx->schema, rows, "t").ValueOrDie();
     fx->rel = IndexedDataFrame::CreateIndex(df, 0, "t_by_k").ValueOrDie()
                   .relation();
     return fx;
@@ -205,44 +203,20 @@ BENCHMARK(BM_SelectiveScanKernel_RowAtATime)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Full operators: vectorized_execution on vs off
+// Full operators
 // ---------------------------------------------------------------------------
 
-double TimeOp(const PhysicalOpPtr& op, ExecutorContext& ctx, int iters) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    auto parts = op->Execute(ctx);
-    IDF_CHECK(parts.ok()) << parts.status().ToString();
-    benchmark::DoNotOptimize(TotalRows(*parts));
-  }
-  const std::chrono::duration<double, std::milli> dt =
-      std::chrono::steady_clock::now() - t0;
-  return dt.count() / iters;
-}
-
-void RunOperatorPair(benchmark::State& state, const PhysicalOpPtr& op) {
+void RunOperator(benchmark::State& state, const PhysicalOpPtr& op) {
   auto& fx = SharedFixture();
-  // Scalar baseline measured once per benchmark (same op object — the
-  // session's vectorized_execution flag selects the path inside Execute).
-  const double scalar_ms = TimeOp(op, fx.scalar_session->exec(), 5);
-  size_t iters = 0;
-  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    auto parts = op->Execute(fx.vec_session->exec());
+    auto parts = op->Execute(fx.session->exec());
     if (!parts.ok()) {
       state.SkipWithError(parts.status().ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(TotalRows(*parts));
-    ++iters;
   }
-  const std::chrono::duration<double, std::milli> dt =
-      std::chrono::steady_clock::now() - t0;
   state.counters["rows"] = static_cast<double>(kRows);
-  state.counters["scalar_ms"] = scalar_ms;
-  if (iters > 0 && dt.count() > 0) {
-    state.counters["speedup_vs_scalar"] = scalar_ms / (dt.count() / iters);
-  }
 }
 
 void BM_SelectiveScan_Vectorized(benchmark::State& state) {
@@ -251,10 +225,10 @@ void BM_SelectiveScan_Vectorized(benchmark::State& state) {
   auto op = std::make_shared<IndexedScanFilterOp>(
       fx.rel, pred,
       PushedFilter::FromSplit(SplitForCompilation(pred, *fx.schema)));
-  fx.vec_session->metrics().Reset();
-  RunOperatorPair(state, op);
+  fx.session->metrics().Reset();
+  RunOperator(state, op);
   state.counters["rows_filtered_vectorized"] = static_cast<double>(
-      fx.vec_session->metrics().rows_filtered_vectorized());
+      fx.session->metrics().rows_filtered_vectorized());
 }
 BENCHMARK(BM_SelectiveScan_Vectorized)
     ->Arg(10)
@@ -277,7 +251,7 @@ void BM_FusedGroupBy_Vectorized(benchmark::State& state) {
   auto op = std::make_shared<IndexedScanAggregateOp>(
       fx.rel, pred, PushedFilter::FromSplit(SplitForCompilation(pred, *fx.schema)),
       groups, aggs, out);
-  RunOperatorPair(state, op);
+  RunOperator(state, op);
 }
 BENCHMARK(BM_FusedGroupBy_Vectorized)
     ->Arg(10)
@@ -297,7 +271,7 @@ void BM_FusedGlobalAgg_Vectorized(benchmark::State& state) {
   auto op = std::make_shared<IndexedScanAggregateOp>(
       fx.rel, pred, PushedFilter::FromSplit(SplitForCompilation(pred, *fx.schema)),
       std::vector<ExprPtr>{}, aggs, out);
-  RunOperatorPair(state, op);
+  RunOperator(state, op);
 }
 BENCHMARK(BM_FusedGlobalAgg_Vectorized)
     ->Arg(10)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <numeric>
 
 #include "sql/aggregate_common.h"
 #include "sql/compiled_accessor.h"
@@ -337,7 +338,7 @@ void UpdateStateFromPayload(AggState* s, AggFn fn, const CompiledAccessor& acc,
 
 /// Materializes one payload that passed the compiled filter: residual check
 /// on the decoded row, then the full row or just the projected columns.
-/// Shared by the row-at-a-time and vectorized scan-filter paths.
+/// Shared by the vectorized and residual-only scan-filter paths.
 void EmitFilteredRow(const uint8_t* payload, const Schema& schema,
                      const Expr* residual, const std::vector<int>& project_cols,
                      RowVec* out, ChunkStats* stats) {
@@ -367,8 +368,8 @@ void EmitFilteredRow(const uint8_t* payload, const Schema& schema,
 /// Batch-at-a-time scan-filter driver: per partition segment of a morsel
 /// the compiled program evaluates the whole payload span at once
 /// (sql/vectorized_eval.h) and only the selection-vector survivors
-/// materialize. Output and metrics are identical to MorselScan running
-/// Matches row-at-a-time.
+/// materialize. Output and metrics are identical to running Matches
+/// row-at-a-time.
 Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
                                           const IndexedRelationSnapshot& snap,
                                           const Schema& schema,
@@ -437,7 +438,7 @@ Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
 /// never -0.0); float SUM/AVG keep the null guard so the running double
 /// accumulation stays bit-identical to UpdateStateFromPayload (adding +0.0
 /// could flip a -0.0 accumulator); MIN/MAX box once per selected lane, as
-/// the scalar path does.
+/// UpdateStateFromPayload does.
 void AccumulateSelectedLanes(AggState* s, AggFn fn,
                              const std::optional<CompiledAccessor>& acc_opt,
                              const uint8_t* const* payloads,
@@ -502,55 +503,71 @@ void AccumulateSelectedLanes(AggState* s, AggFn fn,
   }
 }
 
-/// Build-side candidates of one join probe segment: chain walks append
-/// (encoded build row, probe id) pairs and the compiled build filter then
-/// evaluates the whole span batch-at-a-time. A probe's candidates are
-/// contiguous (appended during its chain walk), which the binary path's
-/// memoized probe decode relies on.
-struct BuildCandidates {
-  std::vector<const uint8_t*> payloads;
-  std::vector<size_t> probe;
-  void Add(const uint8_t* payload, size_t probe_id) {
-    payloads.push_back(payload);
-    probe.push_back(probe_id);
-  }
-  void Clear() {
-    payloads.clear();
-    probe.clear();
-  }
+/// The build side as the join's probe loop sees it: the compiled filter's
+/// batch form (null when no compilable filter was pushed), the interpreter
+/// residual on decoded build rows, and the output column order.
+struct JoinBuildSide {
+  const Schema& schema;
+  const VectorizedPredicate* filter;
+  const Expr* residual;
+  bool indexed_on_left;
 };
 
-/// Filters a segment's candidates through the vectorized build predicate
-/// and emits the surviving concatenated rows in the original probe-major
-/// chain order. `probe_row_of(probe_id)` supplies the probe row (possibly
-/// decoding it lazily); it runs before the build residual so probe
-/// materialization matches the row-at-a-time path.
-template <typename ProbeRowFn>
-void FlushBuildCandidates(const VectorizedPredicate& vec, BuildCandidates* cand,
-                          std::vector<uint32_t>* sel, VectorScratch* vs,
-                          const Schema& build_schema, const Expr* build_residual,
-                          bool indexed_on_left, RowVec* out, ChunkStats* stats,
-                          ProbeRowFn&& probe_row_of) {
-  const size_t n = cand->payloads.size();
-  if (n == 0) return;
-  if (sel->size() < n) sel->resize(n);
-  const size_t kept = vec.FilterBatch(cand->payloads.data(), n, sel->data(), vs);
-  stats->vector_batches += VectorizedPredicate::NumBatches(n);
-  stats->filtered_vectorized += n - kept;
-  stats->filtered_encoded += n - kept;
-  for (size_t j = 0; j < kept; ++j) {
-    const size_t c = (*sel)[j];
-    const Row& probe_row = probe_row_of(cand->probe[c]);
-    Row build_row = DecodeRow(cand->payloads[c], build_schema);
-    if (build_residual &&
-        !ResidualPasses(build_residual, build_row, &stats->error)) {
-      continue;
-    }
-    out->push_back(indexed_on_left ? ConcatRows(build_row, probe_row)
-                                   : ConcatRows(probe_row, build_row));
+/// Build-side candidates of one join probe segment: chain walks append
+/// (encoded build row, probe id) pairs, and Flush filters them
+/// batch-at-a-time before any row decodes. A probe's candidates are
+/// contiguous (appended during its chain walk), which the memoized decode
+/// of shuffled probe rows relies on.
+class BuildCandidates {
+ public:
+  /// Pending candidates at which a segment flushes early, so survivors
+  /// decode while their build payloads are still cache-resident.
+  static constexpr size_t kFlushAt = VectorizedPredicate::kBatchRows;
+
+  void Add(const uint8_t* payload, size_t probe_id) {
+    payloads_.push_back(payload);
+    probe_.push_back(probe_id);
   }
-  cand->Clear();
-}
+  size_t size() const { return payloads_.size(); }
+
+  /// Emits the surviving concatenated rows in probe-major chain order.
+  /// `probe_row_of(probe_id)` supplies the probe row (possibly decoding it
+  /// lazily); it runs before the build residual, so a probe row
+  /// materializes once any of its candidates passes the compiled filter.
+  template <typename ProbeRowFn>
+  void Flush(const JoinBuildSide& build, RowVec* out, ChunkStats* stats,
+             ProbeRowFn&& probe_row_of) {
+    const size_t n = payloads_.size();
+    if (n == 0) return;
+    size_t kept = n;
+    if (build.filter != nullptr) {
+      if (sel_.size() < n) sel_.resize(n);
+      kept = build.filter->FilterBatch(payloads_.data(), n, sel_.data(), &vs_);
+      stats->vector_batches += VectorizedPredicate::NumBatches(n);
+      stats->filtered_vectorized += n - kept;
+      stats->filtered_encoded += n - kept;
+    }
+    for (size_t j = 0; j < kept; ++j) {
+      const size_t c = build.filter != nullptr ? sel_[j] : j;
+      const Row& probe_row = probe_row_of(probe_[c]);
+      Row build_row = DecodeRow(payloads_[c], build.schema);
+      if (build.residual &&
+          !ResidualPasses(build.residual, build_row, &stats->error)) {
+        continue;
+      }
+      out->push_back(build.indexed_on_left ? ConcatRows(build_row, probe_row)
+                                           : ConcatRows(probe_row, build_row));
+    }
+    payloads_.clear();
+    probe_.clear();
+  }
+
+ private:
+  std::vector<const uint8_t*> payloads_;
+  std::vector<size_t> probe_;
+  std::vector<uint32_t> sel_;
+  VectorScratch vs_;
+};
 
 /// Point-lookup driver: each key routes to
 /// its home partition and the backward-pointer chain is walked, applying a
@@ -658,21 +675,16 @@ Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
   const CompiledPredicate* compiled =
       filter.compiled ? &*filter.compiled : nullptr;
   const Expr* residual = filter.residual.get();
-  // Encoded-first either way: the compiled program reads the payload
-  // directly, so rows it rejects are never decoded. The vectorized driver
-  // evaluates it batch-at-a-time per partition segment; the fallback runs
-  // Matches row-at-a-time. Survivors materialize identically in both.
-  if (compiled != nullptr && ctx.config().vectorized_execution) {
+  // Encoded-first: the compiled program evaluates batch-at-a-time on the
+  // payloads, so rows it rejects are never decoded. A filter with no
+  // compilable part runs its residual on every decoded row.
+  if (compiled != nullptr) {
     return VectorizedScanFilter(ctx, snap, schema, *compiled, residual,
                                 project_cols_);
   }
   return MorselScan(ctx, snap,
-                    [this, &schema, compiled, residual](
+                    [this, &schema, residual](
                         const uint8_t* payload, RowVec* out, ChunkStats* stats) {
-    if (compiled && !compiled->Matches(payload)) {
-      ++stats->filtered_encoded;
-      return;
-    }
     EmitFilteredRow(payload, schema, residual, project_cols_, out, stats);
   });
 }
@@ -817,13 +829,12 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
     }
   }
 
-  const bool use_vec = compiled != nullptr && ctx.config().vectorized_execution;
   std::optional<VectorizedPredicate> vec;
-  if (use_vec) vec.emplace(*compiled);
+  if (compiled != nullptr) vec.emplace(*compiled);
   // Ungrouped aggregates whose every input reads straight off the payload
   // (or is COUNT(*)), with no residual, accumulate over the selection
   // vector without building a key or touching a Row at all.
-  bool ungrouped_fast = use_vec && num_groups == 0 && residual == nullptr;
+  bool ungrouped_fast = num_groups == 0 && residual == nullptr;
   for (size_t a = 0; a < num_aggs && ungrouped_fast; ++a) {
     if (aggs_[a].fn != AggFn::kCountStar && !inputs[a].acc) {
       ungrouped_fast = false;
@@ -847,10 +858,11 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
         ChunkStats stats;
         uint64_t encoded_rows = 0;
         VectorScratch vs;
-        std::vector<uint32_t> sel;
-        if (use_vec) sel.resize(end - begin);
-        // Accumulates one row that passed the compiled filter. Shared by
-        // the scalar path and the vector path's grouped tail.
+        // Selection vector of one batch; without a compiled filter it
+        // stays the identity (every lane survives).
+        std::vector<uint32_t> sel(VectorizedPredicate::kBatchRows);
+        std::iota(sel.begin(), sel.end(), 0u);
+        // Accumulates one row that passed the compiled filter.
         auto accumulate_row = [&](const uint8_t* payload) {
           Row decoded;
           bool has_decoded = false;
@@ -888,47 +900,42 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
           }
           if (!has_decoded) ++encoded_rows;
         };
+        // One kBatchRows batch at a time: filter, then accumulate the
+        // survivors while their payloads are still cache-resident.
         size_t i = begin;
         size_t p = PartitionOfIndex(flat.part_end, begin);
         while (i < end) {
           const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
           const size_t pend = std::min(end, flat.part_end[p]);
-          if (use_vec) {
+          for (; i < pend; i += VectorizedPredicate::kBatchRows) {
             const uint8_t* const* payloads =
                 flat.per_part[p].data() + (i - pstart);
-            const size_t cnt = pend - i;
-            const size_t kept =
-                vec->FilterBatch(payloads, cnt, sel.data(), &vs);
-            stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
-            stats.filtered_vectorized += cnt - kept;
-            stats.filtered_encoded += cnt - kept;
+            const size_t cnt =
+                std::min(pend - i, VectorizedPredicate::kBatchRows);
+            size_t kept = cnt;
+            if (vec) {
+              kept = vec->FilterBatch(payloads, cnt, sel.data(), &vs);
+              ++stats.vector_batches;
+              stats.filtered_vectorized += cnt - kept;
+              stats.filtered_encoded += cnt - kept;
+            }
+            if (kept == 0) continue;
             if (ungrouped_fast) {
-              if (kept > 0) {
-                auto [it, inserted] = groups.try_emplace(Row{});
-                if (inserted) it->second.resize(num_aggs);
-                for (size_t a = 0; a < num_aggs; ++a) {
-                  AccumulateSelectedLanes(&it->second[a], aggs_[a].fn,
-                                          inputs[a].acc, payloads, sel.data(),
-                                          kept);
-                }
-                encoded_rows += kept;
+              auto [it, inserted] = groups.try_emplace(Row{});
+              if (inserted) it->second.resize(num_aggs);
+              for (size_t a = 0; a < num_aggs; ++a) {
+                AccumulateSelectedLanes(&it->second[a], aggs_[a].fn,
+                                        inputs[a].acc, payloads, sel.data(),
+                                        kept);
               }
+              encoded_rows += kept;
             } else {
               for (size_t j = 0; j < kept; ++j) {
                 accumulate_row(payloads[sel[j]]);
               }
             }
-            i = pend;
-          } else {
-            for (; i < pend; ++i) {
-              const uint8_t* payload = flat.per_part[p][i - pstart];
-              if (compiled && !compiled->Matches(payload)) {
-                ++stats.filtered_encoded;
-                continue;
-              }
-              accumulate_row(payload);
-            }
           }
+          i = pend;
           ++p;
         }
         FlushChunkStats(ctx, stats);
@@ -975,247 +982,65 @@ Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
   IDF_ASSIGN_OR_RETURN(PartitionVec probe_parts, children()[0]->Execute(ctx));
   std::optional<IndexedRelationSnapshot> scratch;
   const IndexedRelationSnapshot& snap = build_.Snapshot(&scratch);
-  const Schema& build_schema = *build_.schema();
   const Schema& probe_schema = *children()[0]->schema();
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());
 
   // Build-side filter from a pushed-down predicate on the indexed
-  // relation: the compiled part runs on the encoded build row during the
-  // chain walk (rejects are never decoded or concatenated), the residual
-  // on the decoded build row.
+  // relation: the compiled part runs batch-at-a-time on the encoded build
+  // rows a chain walk collected (rejects are never decoded or
+  // concatenated), the residual on the decoded build row.
   IDF_ASSIGN_OR_RETURN(PushedFilter build_filter,
                        BindPushedFilter(build_filter_, ctx));
-  if (build_filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
-  const CompiledPredicate* build_compiled =
-      build_filter.compiled ? &*build_filter.compiled : nullptr;
-  const Expr* build_residual = build_filter.residual.get();
-  // With a compiled build filter and vectorized execution, the chain walks
-  // only collect (build payload, probe id) candidates; each probe segment
-  // then runs the filter batch-at-a-time and decodes the survivors.
-  const bool vec_build =
-      build_compiled != nullptr && ctx.config().vectorized_execution;
   std::optional<VectorizedPredicate> build_vec;
-  if (vec_build) build_vec.emplace(*build_compiled);
+  if (build_filter.compiled) {
+    ctx.metrics().AddPredicatesCompiled(1);
+    build_vec.emplace(*build_filter.compiled);
+  }
+  const JoinBuildSide build{*build_.schema(),
+                            build_vec ? &*build_vec : nullptr,
+                            build_filter.residual.get(), indexed_on_left_};
 
-  // Bound column-ref probe keys decode only the key column from the binary
-  // exchange; other key expressions fall back to full-row decode + Eval.
+  // Every probe row is routed to the partition that owns its key (hash
+  // partitioning makes ownership exact); null keys never match and are
+  // dropped. A broadcast probe stays one shared row vector: keys evaluate
+  // once and each partition lists the rows it owns. A shuffled probe
+  // crosses the binary exchange encoded (the build side moves nothing: it
+  // is the index) and decodes lazily — only the key column when the key
+  // is a bound column ref, the full row once a candidate survives.
+  BroadcastRows bc;
+  std::vector<Value> keys;                 // broadcast: per probe row
+  std::vector<std::vector<size_t>> owned;  // broadcast: rows per partition
+  BinaryPartitions shuffled;               // shuffled: rows per partition
+  if (broadcast_probe_) {
+    bc = MakeBroadcast(ctx, CollectRows(probe_parts));
+    keys.resize(bc.rows->size());
+    owned.resize(num_parts);
+    for (size_t r = 0; r < bc.rows->size(); ++r) {
+      IDF_ASSIGN_OR_RETURN(Value key, probe_key_->Eval((*bc.rows)[r]));
+      if (key.is_null()) continue;
+      owned[static_cast<size_t>(snap.partitioner().PartitionOf(key))].push_back(r);
+      keys[r] = std::move(key);
+    }
+  } else {
+    IDF_ASSIGN_OR_RETURN(shuffled,
+                         ShuffleEncodedByKeyExpr(ctx, probe_parts, probe_schema,
+                                                 probe_key_, snap.partitioner()));
+  }
   int probe_key_col = -1;
   if (probe_key_->kind() == ExprKind::kColumnRef) {
     const auto* ref = static_cast<const ColumnRefExpr*>(probe_key_.get());
     if (ref->bound()) probe_key_col = ref->index();
   }
-
-  if (broadcast_probe_) {
-    // Broadcast the probe rows; each key is evaluated once and routed to
-    // the partition that owns it (hash partitioning makes ownership
-    // exact), then probing is split into morsels across partitions.
-    BroadcastRows bc = MakeBroadcast(ctx, CollectRows(probe_parts));
-    const RowVec& rows = *bc.rows;
-    std::vector<Value> keys(rows.size());
-    std::vector<std::vector<size_t>> owned(num_parts);
-    for (size_t r = 0; r < rows.size(); ++r) {
-      IDF_ASSIGN_OR_RETURN(Value key, probe_key_->Eval(rows[r]));
-      if (key.is_null()) continue;
-      owned[static_cast<size_t>(snap.partitioner().PartitionOf(key))].push_back(r);
-      keys[r] = std::move(key);
-    }
-    std::vector<size_t> part_end(num_parts);
-    size_t total = 0;
-    for (size_t p = 0; p < num_parts; ++p) {
-      total += owned[p].size();
-      part_end[p] = total;
-    }
-    const size_t grain = ctx.MorselGrain(total);
-    std::vector<std::vector<MorselPiece>> chunks(
-        total == 0 ? 0 : (total + grain - 1) / grain);
-    Status first_error;
-    std::mutex error_mu;
-    size_t dispatched = ctx.pool().ParallelForRange(
-        total, grain,
-        [&](size_t begin, size_t end) {
-          ctx.metrics().AddTask();
-          std::vector<MorselPiece> pieces;
-          uint64_t probes = 0;
-          uint64_t hits = 0;
-          ChunkStats stats;
-          VectorScratch vs;
-          std::vector<uint32_t> sel;
-          BuildCandidates cand;
-          size_t i = begin;
-          size_t p = PartitionOfIndex(part_end, begin);
-          while (i < end) {
-            const size_t pstart = p == 0 ? 0 : part_end[p - 1];
-            const size_t pend = std::min(end, part_end[p]);
-            const IndexedPartition::View& view = snap.view(static_cast<int>(p));
-            MorselPiece piece{p, {}};
-            if (vec_build) {
-              for (; i < pend; ++i) {
-                const size_t r = owned[p][i - pstart];
-                ++probes;
-                size_t matched =
-                    view.ForEachRawRow(keys[r], [&](const uint8_t* payload) {
-                      cand.Add(payload, r);
-                    });
-                if (matched > 0) ++hits;
-              }
-              FlushBuildCandidates(
-                  *build_vec, &cand, &sel, &vs, build_schema, build_residual,
-                  indexed_on_left_, &piece.rows, &stats,
-                  [&](size_t r) -> const Row& { return rows[r]; });
-            } else {
-              for (; i < pend; ++i) {
-                const size_t r = owned[p][i - pstart];
-                ++probes;
-                size_t matched =
-                    view.ForEachRawRow(keys[r], [&](const uint8_t* payload) {
-                      if (build_compiled && !build_compiled->Matches(payload)) {
-                        ++stats.filtered_encoded;
-                        return;
-                      }
-                      Row build_row = DecodeRow(payload, build_schema);
-                      if (build_residual &&
-                          !ResidualPasses(build_residual, build_row,
-                                          &stats.error)) {
-                        return;
-                      }
-                      piece.rows.push_back(indexed_on_left_
-                                               ? ConcatRows(build_row, rows[r])
-                                               : ConcatRows(rows[r], build_row));
-                    });
-                if (matched > 0) ++hits;
-              }
-            }
-            if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-            ++p;
-          }
-          ctx.metrics().AddIndexProbes(probes);
-          ctx.metrics().AddIndexHits(hits);
-          FlushChunkStats(ctx, stats);
-          if (!stats.error.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = stats.error;
-          }
-          chunks[begin / grain] = std::move(pieces);
-        },
-        ctx.cancellation());
-    IDF_RETURN_NOT_OK(first_error);
-    IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-    ctx.metrics().AddMorsels(dispatched);
-    return AssemblePieces(ctx, num_parts, chunks);
-  }
-
-  // Small shuffled probes take the legacy row exchange: when every probe
-  // row is decoded anyway (the all-hit case, e.g. the 2k-row fig2 join)
-  // the encode pass of the binary exchange is pure overhead, and at this
-  // scale it dominates. Large probes amortize encoding via lazy decode.
-  if (TotalRows(probe_parts) < ctx.config().binary_shuffle_min_rows) {
-    IDF_ASSIGN_OR_RETURN(
-        std::vector<RowVec> shuffled,
-        ShuffleRowsByKeyExpr(ctx, probe_parts, probe_key_, snap.partitioner()));
-    std::vector<size_t> part_end(num_parts);
-    size_t total = 0;
-    for (size_t p = 0; p < num_parts; ++p) {
-      total += shuffled[p].size();
-      part_end[p] = total;
-    }
-    const size_t grain = ctx.MorselGrain(total);
-    std::vector<std::vector<MorselPiece>> chunks(
-        total == 0 ? 0 : (total + grain - 1) / grain);
-    Status first_error;
-    std::mutex error_mu;
-    size_t dispatched = ctx.pool().ParallelForRange(
-        total, grain,
-        [&](size_t begin, size_t end) {
-          ctx.metrics().AddTask();
-          std::vector<MorselPiece> pieces;
-          uint64_t probes = 0;
-          uint64_t hits = 0;
-          ChunkStats stats;
-          VectorScratch vs;
-          std::vector<uint32_t> sel;
-          BuildCandidates cand;
-          size_t i = begin;
-          size_t p = PartitionOfIndex(part_end, begin);
-          while (i < end) {
-            const size_t pstart = p == 0 ? 0 : part_end[p - 1];
-            const size_t pend = std::min(end, part_end[p]);
-            const RowVec& rows = shuffled[p];
-            const IndexedPartition::View& view = snap.view(static_cast<int>(p));
-            MorselPiece piece{p, {}};
-            for (; i < pend; ++i) {
-              const Row& probe_row = rows[i - pstart];
-              Value key;
-              if (probe_key_col >= 0) {
-                key = probe_row[static_cast<size_t>(probe_key_col)];
-              } else {
-                auto v = probe_key_->Eval(probe_row);
-                if (!v.ok()) {
-                  std::lock_guard<std::mutex> lock(error_mu);
-                  if (first_error.ok()) first_error = v.status();
-                  return;
-                }
-                key = std::move(v).ValueUnsafe();
-              }
-              ++probes;
-              size_t matched =
-                  view.ForEachRawRow(key, [&](const uint8_t* build_payload) {
-                    if (vec_build) {
-                      cand.Add(build_payload, i - pstart);
-                      return;
-                    }
-                    if (build_compiled && !build_compiled->Matches(build_payload)) {
-                      ++stats.filtered_encoded;
-                      return;
-                    }
-                    Row build_row = DecodeRow(build_payload, build_schema);
-                    if (build_residual &&
-                        !ResidualPasses(build_residual, build_row, &stats.error)) {
-                      return;
-                    }
-                    piece.rows.push_back(indexed_on_left_
-                                             ? ConcatRows(build_row, probe_row)
-                                             : ConcatRows(probe_row, build_row));
-                  });
-              if (matched > 0) ++hits;
-            }
-            if (vec_build) {
-              FlushBuildCandidates(
-                  *build_vec, &cand, &sel, &vs, build_schema, build_residual,
-                  indexed_on_left_, &piece.rows, &stats,
-                  [&](size_t idx) -> const Row& { return rows[idx]; });
-            }
-            if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-            ++p;
-          }
-          ctx.metrics().AddIndexProbes(probes);
-          ctx.metrics().AddIndexHits(hits);
-          FlushChunkStats(ctx, stats);
-          if (!stats.error.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = stats.error;
-          }
-          chunks[begin / grain] = std::move(pieces);
-        },
-        ctx.cancellation());
-    IDF_RETURN_NOT_OK(first_error);
-    IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-    ctx.metrics().AddMorsels(dispatched);
-    return AssemblePieces(ctx, num_parts, chunks);
-  }
-
-  // Shuffled probe: the probe side crosses the exchange as encoded binary
-  // buffers (no materialized Rows); the build side moves nothing (it is
-  // the index). Probe rows decode lazily — only the key column until a
-  // match requires the full row.
-  IDF_ASSIGN_OR_RETURN(BinaryPartitions shuffled,
-                       ShuffleEncodedByKeyExpr(ctx, probe_parts, probe_schema,
-                                               probe_key_, snap.partitioner()));
   std::vector<size_t> part_end(num_parts);
   size_t total = 0;
   for (size_t p = 0; p < num_parts; ++p) {
-    total += shuffled[p].num_rows();
+    total += broadcast_probe_ ? owned[p].size() : shuffled[p].num_rows();
     part_end[p] = total;
   }
+
+  // One probe loop for both routings: each morsel walks the index chain of
+  // every probe row it owns, collecting build candidates that flush
+  // through the build filter into concatenated rows.
   const size_t grain = ctx.MorselGrain(total);
   std::vector<std::vector<MorselPiece>> chunks(
       total == 0 ? 0 : (total + grain - 1) / grain);
@@ -1230,115 +1055,59 @@ Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
         uint64_t hits = 0;
         uint64_t avoided = 0;
         ChunkStats stats;
-        VectorScratch vs;
-        std::vector<uint32_t> sel;
         BuildCandidates cand;
         size_t i = begin;
         size_t p = PartitionOfIndex(part_end, begin);
         while (i < end) {
           const size_t pstart = p == 0 ? 0 : part_end[p - 1];
           const size_t pend = std::min(end, part_end[p]);
-          const BinaryRows& buf = shuffled[p];
           const IndexedPartition::View& view = snap.view(static_cast<int>(p));
           MorselPiece piece{p, {}};
-          if (vec_build) {
-            const size_t seg_begin = i;
-            for (; i < pend; ++i) {
-              const size_t local = i - pstart;
-              const uint8_t* payload = buf.payload(local);
-              Value key;
-              if (probe_key_col >= 0) {
-                key = DecodeColumn(payload, probe_schema, probe_key_col);
-              } else {
-                Row full = DecodeRow(payload, probe_schema);
-                auto v = probe_key_->Eval(full);
-                if (!v.ok()) {
-                  std::lock_guard<std::mutex> lock(error_mu);
-                  if (first_error.ok()) first_error = v.status();
-                  return;
-                }
-                key = std::move(v).ValueUnsafe();
-              }
-              // Null keys were dropped on the map side of the exchange.
-              ++probes;
-              size_t matched =
-                  view.ForEachRawRow(key, [&](const uint8_t* build_payload) {
-                    cand.Add(build_payload, local);
-                  });
-              if (matched > 0) ++hits;
+          // Broadcast probe ids index the shared rows; a shuffled probe row
+          // decodes on its first surviving candidate and serves the rest.
+          size_t last = static_cast<size_t>(-1);
+          Row decoded;
+          uint64_t materialized = 0;
+          auto probe_row_of = [&](size_t id) -> const Row& {
+            if (broadcast_probe_) return (*bc.rows)[id];
+            if (id != last) {
+              decoded = DecodeRow(shuffled[p].payload(id), probe_schema);
+              last = id;
+              ++materialized;
             }
-            // Lazy memoized probe decode at flush: a probe's candidates
-            // are contiguous, so one decoded row serves all of them.
-            // Probes whose candidates were all rejected (or that missed
-            // the index) never materialize past the key column, matching
-            // the row-at-a-time accounting.
-            size_t last = static_cast<size_t>(-1);
-            Row probe_row;
-            uint64_t materialized = 0;
-            FlushBuildCandidates(
-                *build_vec, &cand, &sel, &vs, build_schema, build_residual,
-                indexed_on_left_, &piece.rows, &stats,
-                [&](size_t idx) -> const Row& {
-                  if (idx != last) {
-                    probe_row = DecodeRow(buf.payload(idx), probe_schema);
-                    last = idx;
-                    ++materialized;
-                  }
-                  return probe_row;
-                });
-            if (probe_key_col >= 0) {
-              avoided += (pend - seg_begin) - materialized;
+            return decoded;
+          };
+          const size_t seg_begin = i;
+          for (; i < pend; ++i) {
+            size_t id = i - pstart;
+            Value decoded_key;
+            const Value* key = &decoded_key;
+            if (broadcast_probe_) {
+              id = owned[p][id];
+              key = &keys[id];
+            } else if (probe_key_col >= 0) {
+              decoded_key = DecodeColumn(shuffled[p].payload(id), probe_schema,
+                                         probe_key_col);
+            } else {
+              auto v = probe_key_->Eval(
+                  DecodeRow(shuffled[p].payload(id), probe_schema));
+              if (!v.ok()) {
+                if (stats.error.ok()) stats.error = v.status();
+                continue;
+              }
+              decoded_key = std::move(v).ValueUnsafe();
             }
-          } else {
-            for (; i < pend; ++i) {
-              const uint8_t* payload = buf.payload(i - pstart);
-              Row probe_row;
-              bool decoded = false;
-              Value key;
-              if (probe_key_col >= 0) {
-                key = DecodeColumn(payload, probe_schema, probe_key_col);
-              } else {
-                probe_row = DecodeRow(payload, probe_schema);
-                decoded = true;
-                auto v = probe_key_->Eval(probe_row);
-                if (!v.ok()) {
-                  std::lock_guard<std::mutex> lock(error_mu);
-                  if (first_error.ok()) first_error = v.status();
-                  return;
-                }
-                key = std::move(v).ValueUnsafe();
-              }
-              // Null keys were dropped on the map side of the exchange.
-              ++probes;
-              size_t matched =
-                  view.ForEachRawRow(key, [&](const uint8_t* build_payload) {
-                    // The build filter runs on the encoded build row first:
-                    // a reject decodes neither side.
-                    if (build_compiled && !build_compiled->Matches(build_payload)) {
-                      ++stats.filtered_encoded;
-                      return;
-                    }
-                    // The probe row materializes on the first surviving match.
-                    if (!decoded) {
-                      probe_row = DecodeRow(payload, probe_schema);
-                      decoded = true;
-                    }
-                    Row build_row = DecodeRow(build_payload, build_schema);
-                    if (build_residual &&
-                        !ResidualPasses(build_residual, build_row, &stats.error)) {
-                      return;
-                    }
-                    piece.rows.push_back(indexed_on_left_
-                                             ? ConcatRows(build_row, probe_row)
-                                             : ConcatRows(probe_row, build_row));
-                  });
-              if (matched > 0) {
-                ++hits;
-              }
-              if (!decoded) {
-                ++avoided;  // never materialized past the key column
-              }
+            ++probes;
+            size_t matched = view.ForEachRawRow(
+                *key, [&](const uint8_t* payload) { cand.Add(payload, id); });
+            if (matched > 0) ++hits;
+            if (cand.size() >= BuildCandidates::kFlushAt) {
+              cand.Flush(build, &piece.rows, &stats, probe_row_of);
             }
+          }
+          cand.Flush(build, &piece.rows, &stats, probe_row_of);
+          if (!broadcast_probe_ && probe_key_col >= 0) {
+            avoided += (pend - seg_begin) - materialized;
           }
           if (!piece.rows.empty()) pieces.push_back(std::move(piece));
           ++p;

@@ -248,9 +248,10 @@ class IndexLookupOp : public PhysicalOp {
 /// the index"); the probe side is shuffled to the index's hash
 /// partitioning, or — when small enough to broadcast efficiently —
 /// broadcast to all partitions (paper §2, Indexed Join).
-/// An optional build-side filter (from a pushed-down predicate on the
-/// indexed relation) runs against the encoded build row during the chain
-/// walk, before the row is decoded or concatenated.
+/// Both routings share one probe loop. An optional build-side filter
+/// (from a pushed-down predicate on the indexed relation) runs
+/// batch-at-a-time on the encoded build rows the chain walks collected,
+/// before any of them is decoded or concatenated.
 class IndexedJoinOp : public PhysicalOp {
  public:
   IndexedJoinOp(ScanSource build, PhysicalOpPtr probe, ExprPtr probe_key,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/broadcast.h"
+#include "sql/physical_operators.h"
 
 namespace idf {
 namespace {
@@ -47,26 +48,78 @@ TEST(SplitRoundRobinTest, BalancesAndPreservesRows) {
   for (int64_t i = 0; i < 103; ++i) rows.push_back({Value(i)});
   PartitionedRows parts = SplitRoundRobin(rows, 4);
   ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(CountRows(parts), 103u);
+  RowVec flat;
   for (const RowVec& p : parts) {
     EXPECT_GE(p.size(), 25u);
     EXPECT_LE(p.size(), 26u);
+    flat.insert(flat.end(), p.begin(), p.end());
   }
-  RowVec flat = FlattenPartitions(parts);
   SortRows(&flat);
   SortRows(&rows);
   EXPECT_EQ(flat, rows);
 }
 
+// ---------------------------------------------------------------------------
+// The two production exchanges: ShuffleRowsByKeyExpr (rows; the vanilla
+// shuffled joins) and ShuffleEncodedByKeyExpr (encoded buffers; the
+// indexed join's shuffled probe). Both route by the evaluated key.
+// ---------------------------------------------------------------------------
+
+SchemaPtr ShuffleSchema() {
+  return Schema::Make({{"k", TypeId::kInt64, true},
+                       {"s", TypeId::kString, true},
+                       {"d", TypeId::kFloat64, true}});
+}
+
+/// 300 rows over 37 keys, one null key, one null string.
+RowVec ShuffleFixture() {
+  RowVec rows;
+  for (int64_t i = 0; i < 300; ++i) {
+    rows.push_back({Value(i % 37), Value("s" + std::to_string(i)),
+                    Value(static_cast<double>(i) * 0.5)});
+  }
+  rows.push_back({Value::Null(), Value("null-key"), Value::Null()});
+  rows.push_back({Value(int64_t{5}), Value::Null(), Value(1.25)});
+  return rows;
+}
+
+/// `rows` split round-robin into `n` input partitions.
+PartitionVec Inputs(const RowVec& rows, int n) {
+  PartitionVec out;
+  for (RowVec& p : SplitRoundRobin(rows, n)) out.emplace_back(std::move(p));
+  return out;
+}
+
+ExprPtr BoundKey(ExprPtr key) {
+  return BindExpr(std::move(key), *ShuffleSchema()).ValueOrDie();
+}
+
+/// The encoded exchange's output, decoded.
+std::vector<RowVec> Decoded(const BinaryPartitions& parts) {
+  std::vector<RowVec> out(parts.size());
+  for (size_t p = 0; p < parts.size(); ++p) {
+    for (size_t i = 0; i < parts[p].num_rows(); ++i) {
+      out[p].push_back(parts[p].Decode(i, *ShuffleSchema()));
+    }
+  }
+  return out;
+}
+
+size_t CountAll(const std::vector<RowVec>& parts) {
+  size_t n = 0;
+  for (const RowVec& p : parts) n += p.size();
+  return n;
+}
+
 TEST(ShuffleTest, EveryRowLandsInItsKeyPartition) {
   auto ctx = MakeCtx(5);
-  RowVec rows;
-  for (int64_t i = 0; i < 500; ++i) rows.push_back({Value(i % 37), Value(i)});
-  PartitionedRows input = SplitRoundRobin(rows, 3);
   HashPartitioner partitioner(5);
-  PartitionedRows output = ShuffleByKey(*ctx, input, 0, partitioner);
+  std::vector<RowVec> output =
+      ShuffleRowsByKeyExpr(*ctx, Inputs(ShuffleFixture(), 3), BoundKey(Col("k")),
+                           partitioner)
+          .ValueOrDie();
   ASSERT_EQ(output.size(), 5u);
-  EXPECT_EQ(CountRows(output), 500u);
+  EXPECT_EQ(CountAll(output), 301u);  // the null key is dropped
   for (size_t p = 0; p < output.size(); ++p) {
     for (const Row& row : output[p]) {
       EXPECT_EQ(partitioner.PartitionOf(row[0]), static_cast<int>(p));
@@ -77,9 +130,13 @@ TEST(ShuffleTest, EveryRowLandsInItsKeyPartition) {
 TEST(ShuffleTest, SameKeySameOutputPartition) {
   auto ctx = MakeCtx(4);
   RowVec rows;
-  for (int64_t i = 0; i < 100; ++i) rows.push_back({Value(int64_t{7}), Value(i)});
-  PartitionedRows output =
-      ShuffleByKey(*ctx, SplitRoundRobin(rows, 4), 0, HashPartitioner(4));
+  for (int64_t i = 0; i < 100; ++i) {
+    rows.push_back({Value(int64_t{7}), Value("x"), Value(0.0)});
+  }
+  std::vector<RowVec> output =
+      ShuffleRowsByKeyExpr(*ctx, Inputs(rows, 4), BoundKey(Col("k")),
+                           HashPartitioner(4))
+          .ValueOrDie();
   int non_empty = 0;
   for (const RowVec& p : output) {
     if (!p.empty()) {
@@ -92,79 +149,137 @@ TEST(ShuffleTest, SameKeySameOutputPartition) {
 
 TEST(ShuffleTest, NullKeysGoToPartitionZero) {
   auto ctx = MakeCtx(4);
-  RowVec rows = {{Value::Null(), Value(int64_t{1})},
-                 {Value::Null(), Value(int64_t{2})}};
-  PartitionedRows output =
-      ShuffleByKey(*ctx, SplitRoundRobin(rows, 2), 0, HashPartitioner(4));
-  EXPECT_EQ(output[0].size(), 2u);
+  RowVec rows = {{Value::Null(), Value("a"), Value(1.0)},
+                 {Value::Null(), Value("b"), Value::Null()},
+                 {Value(int64_t{3}), Value("c"), Value(2.0)}};
+  ExprPtr key = BoundKey(Col("k"));
+  std::vector<RowVec> kept =
+      ShuffleRowsByKeyExpr(*ctx, Inputs(rows, 2), key, HashPartitioner(4),
+                           /*keep_null_keys=*/true)
+          .ValueOrDie();
+  EXPECT_EQ(CountAll(kept), 3u);
+  size_t nulls_in_zero = 0;
+  for (const Row& row : kept[0]) nulls_in_zero += row[0].is_null() ? 1 : 0;
+  EXPECT_EQ(nulls_in_zero, 2u);
+  std::vector<RowVec> dropped =
+      ShuffleRowsByKeyExpr(*ctx, Inputs(rows, 2), key, HashPartitioner(4))
+          .ValueOrDie();
+  EXPECT_EQ(CountAll(dropped), 1u);
 }
 
 TEST(ShuffleTest, MetricsAccountVolume) {
   auto ctx = MakeCtx(4);
   ctx->metrics().Reset();
-  RowVec rows;
-  for (int64_t i = 0; i < 50; ++i) rows.push_back({Value(i)});
-  ShuffleByKey(*ctx, SplitRoundRobin(rows, 2), 0, HashPartitioner(4));
-  EXPECT_EQ(ctx->metrics().shuffled_rows(), 50u);
+  ShuffleRowsByKeyExpr(*ctx, Inputs(ShuffleFixture(), 2), BoundKey(Col("k")),
+                       HashPartitioner(4))
+      .ValueOrDie();
+  EXPECT_EQ(ctx->metrics().shuffled_rows(), 301u);
   EXPECT_GT(ctx->metrics().shuffled_bytes(), 0u);
   EXPECT_GT(ctx->metrics().tasks_run(), 0u);
 }
 
-SchemaPtr BinarySchema() {
-  return Schema::Make({{"k", TypeId::kInt64, true},
-                       {"s", TypeId::kString, true},
-                       {"d", TypeId::kFloat64, true}});
+TEST(ShuffleTest, ExpressionKeyRoutesByItsValue) {
+  auto ctx = MakeCtx(4, 3);
+  HashPartitioner partitioner(4);
+  ExprPtr key = BoundKey(Add(Col("k"), Lit(Value(int64_t{1000}))));
+  std::vector<RowVec> rows =
+      ShuffleRowsByKeyExpr(*ctx, Inputs(ShuffleFixture(), 3), key, partitioner)
+          .ValueOrDie();
+  std::vector<RowVec> encoded =
+      Decoded(ShuffleEncodedByKeyExpr(*ctx, Inputs(ShuffleFixture(), 3),
+                                      *ShuffleSchema(), key, partitioner)
+                  .ValueOrDie());
+  EXPECT_EQ(encoded, rows);
+  EXPECT_EQ(CountAll(rows), 301u);
+  for (size_t p = 0; p < rows.size(); ++p) {
+    for (const Row& row : rows[p]) {
+      EXPECT_EQ(partitioner.PartitionOf(Value(row[0].int64_value() + 1000)),
+                static_cast<int>(p));
+    }
+  }
 }
 
-RowVec BinaryRowsFixture() {
-  RowVec rows;
-  for (int64_t i = 0; i < 300; ++i) {
-    rows.push_back({Value(i % 37), Value("s" + std::to_string(i)),
-                    Value(static_cast<double>(i) * 0.5)});
-  }
-  rows.push_back({Value::Null(), Value("null-key"), Value::Null()});
-  rows.push_back({Value(int64_t{5}), Value::Null(), Value(1.25)});
-  return rows;
+TEST(ShuffleTest, KeyEvaluationErrorPropagates) {
+  auto ctx = MakeCtx(4);
+  ExprPtr unbound = Col("k");  // Eval fails: the column was never bound
+  auto rows = ShuffleRowsByKeyExpr(*ctx, Inputs(ShuffleFixture(), 2), unbound,
+                                   HashPartitioner(4));
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsInternal()) << rows.status().ToString();
+  auto encoded = ShuffleEncodedByKeyExpr(*ctx, Inputs(ShuffleFixture(), 2),
+                                         *ShuffleSchema(), unbound,
+                                         HashPartitioner(4));
+  ASSERT_FALSE(encoded.ok());
+  EXPECT_TRUE(encoded.status().IsInternal()) << encoded.status().ToString();
+}
+
+TEST(ShuffleTest, CancelledTokenReturnsCancelled) {
+  auto ctx = MakeCtx(4);
+  CancellationTokenPtr token = CancellationToken::Make();
+  token->Cancel();
+  ctx->SetCancellation(token);
+  ExprPtr key = BoundKey(Col("k"));
+  auto rows = ShuffleRowsByKeyExpr(*ctx, Inputs(ShuffleFixture(), 2), key,
+                                   HashPartitioner(4));
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kCancelled);
+  auto encoded = ShuffleEncodedByKeyExpr(*ctx, Inputs(ShuffleFixture(), 2),
+                                         *ShuffleSchema(), key,
+                                         HashPartitioner(4));
+  ASSERT_FALSE(encoded.ok());
+  EXPECT_EQ(encoded.status().code(), StatusCode::kCancelled);
 }
 
 TEST(BinaryShuffleTest, MatchesRowShuffleRowForRow) {
   auto ctx = MakeCtx(5, 3);
-  SchemaPtr schema = BinarySchema();
-  PartitionedRows input = SplitRoundRobin(BinaryRowsFixture(), 3);
   HashPartitioner partitioner(5);
-  PartitionedRows expected = ShuffleByKey(*ctx, input, 0, partitioner);
-  BinaryPartitions actual =
-      ShuffleByKeyBinary(*ctx, input, *schema, 0, partitioner).ValueOrDie();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t p = 0; p < expected.size(); ++p) {
-    ASSERT_EQ(actual[p].num_rows(), expected[p].size()) << "partition " << p;
-    for (size_t i = 0; i < expected[p].size(); ++i) {
-      EXPECT_EQ(actual[p].Decode(i, *schema), expected[p][i])
-          << "partition " << p << " row " << i;
+  ExprPtr key = BoundKey(Col("k"));
+  for (bool keep_null_keys : {false, true}) {
+    std::vector<RowVec> expected =
+        ShuffleRowsByKeyExpr(*ctx, Inputs(ShuffleFixture(), 3), key,
+                             partitioner, keep_null_keys)
+            .ValueOrDie();
+    std::vector<RowVec> actual = Decoded(
+        ShuffleEncodedByKeyExpr(*ctx, Inputs(ShuffleFixture(), 3),
+                                *ShuffleSchema(), key, partitioner,
+                                keep_null_keys)
+            .ValueOrDie());
+    ASSERT_EQ(actual.size(), expected.size());
+    EXPECT_EQ(CountAll(expected), keep_null_keys ? 302u : 301u);
+    for (size_t p = 0; p < expected.size(); ++p) {
+      EXPECT_EQ(actual[p], expected[p])
+          << "partition " << p << " keep_null_keys=" << keep_null_keys;
     }
   }
 }
 
 TEST(BinaryShuffleTest, NullKeysGoToPartitionZero) {
   auto ctx = MakeCtx(4);
-  SchemaPtr schema = BinarySchema();
   RowVec rows = {{Value::Null(), Value("a"), Value(1.0)},
                  {Value::Null(), Value("b"), Value::Null()}};
-  BinaryPartitions out =
-      ShuffleByKeyBinary(*ctx, SplitRoundRobin(rows, 2), *schema, 0,
-                         HashPartitioner(4))
+  ExprPtr key = BoundKey(Col("k"));
+  BinaryPartitions kept =
+      ShuffleEncodedByKeyExpr(*ctx, Inputs(rows, 2), *ShuffleSchema(), key,
+                              HashPartitioner(4), /*keep_null_keys=*/true)
           .ValueOrDie();
-  EXPECT_EQ(out[0].num_rows(), 2u);
-  EXPECT_EQ(out[1].num_rows() + out[2].num_rows() + out[3].num_rows(), 0u);
+  EXPECT_EQ(kept[0].num_rows(), 2u);
+  EXPECT_EQ(kept[1].num_rows() + kept[2].num_rows() + kept[3].num_rows(), 0u);
+  BinaryPartitions dropped =
+      ShuffleEncodedByKeyExpr(*ctx, Inputs(rows, 2), *ShuffleSchema(), key,
+                              HashPartitioner(4))
+          .ValueOrDie();
+  for (const BinaryRows& p : dropped) EXPECT_TRUE(p.empty());
 }
 
 TEST(BinaryShuffleTest, LazyColumnDecodeSeesShuffledValues) {
   auto ctx = MakeCtx(3);
-  SchemaPtr schema = BinarySchema();
-  PartitionedRows input = SplitRoundRobin(BinaryRowsFixture(), 2);
+  SchemaPtr schema = ShuffleSchema();
   HashPartitioner partitioner(3);
   BinaryPartitions out =
-      ShuffleByKeyBinary(*ctx, input, *schema, 0, partitioner).ValueOrDie();
+      ShuffleEncodedByKeyExpr(*ctx, Inputs(ShuffleFixture(), 2), *schema,
+                              BoundKey(Col("k")), partitioner,
+                              /*keep_null_keys=*/true)
+          .ValueOrDie();
   size_t total = 0;
   for (size_t p = 0; p < out.size(); ++p) {
     for (size_t i = 0; i < out[p].num_rows(); ++i) {
@@ -182,9 +297,9 @@ TEST(BinaryShuffleTest, LazyColumnDecodeSeesShuffledValues) {
 TEST(BinaryShuffleTest, MetricsAccountEncodedVolume) {
   auto ctx = MakeCtx(4);
   ctx->metrics().Reset();
-  SchemaPtr schema = BinarySchema();
-  ShuffleByKeyBinary(*ctx, SplitRoundRobin(BinaryRowsFixture(), 2), *schema, 0,
-                     HashPartitioner(4))
+  ShuffleEncodedByKeyExpr(*ctx, Inputs(ShuffleFixture(), 2), *ShuffleSchema(),
+                          BoundKey(Col("k")), HashPartitioner(4),
+                          /*keep_null_keys=*/true)
       .ValueOrDie();
   EXPECT_EQ(ctx->metrics().shuffled_rows(), 302u);
   EXPECT_GT(ctx->metrics().shuffle_encoded_bytes(), 0u);

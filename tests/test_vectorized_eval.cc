@@ -3,12 +3,14 @@
 // The kernel must reproduce the row-at-a-time EvalEncoded tri-state
 // bit-for-bit lane by lane (including NULL, NaN, -0.0, and type-widening
 // edges), and the fused operators — scan-filter, scan-aggregate, and the
-// join build-side filter — must produce identical rows with
-// vectorized_execution on and off while reporting the vector metrics.
+// indexed join with its build-side filter — must produce the rows the
+// vanilla plan produces over an un-indexed copy of the data while
+// reporting the vector metrics.
 // Random-tree coverage lives in test_property_fuzz.cc.
 #include "sql/vectorized_eval.h"
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -196,185 +198,279 @@ TEST_F(VectorizedEvalTest, StackDepthReflectsProgramShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Operator integration: vectorized on vs off must be row-identical, and
-// the fused read paths must report the vector counters.
+// Operator integration: each fused indexed operator must return exactly
+// the rows of the same query over an un-indexed DataFrame, planned by a
+// plain Session (interpreted Filter, hash aggregate, hash join), and must
+// report the vector counters.
 // ---------------------------------------------------------------------------
 
 class VectorizedOperatorTest : public ::testing::Test {
  protected:
-  static SessionPtr MakeSession(bool vectorized,
-                                size_t binary_shuffle_min_rows = 0) {
+  static SessionPtr MakeSession() {
     EngineConfig cfg;
-    cfg.num_partitions = 4;  // identical everywhere: same flatten order
+    cfg.num_partitions = 4;
     cfg.num_threads = 2;
     cfg.morsel_rows = 512;
-    cfg.binary_shuffle_min_rows = binary_shuffle_min_rows;
-    cfg.vectorized_execution = vectorized;
     return Session::Make(cfg).ValueOrDie();
   }
 
   void SetUp() override {
-    vec_ = MakeSession(true);
-    scalar_ = MakeSession(false);
+    session_ = MakeSession();
+    oracle_ = MakeSession();
     schema_ = Schema::Make({{"k", TypeId::kInt64, false},
                             {"g", TypeId::kInt64, false},
                             {"v", TypeId::kInt64, true},
                             {"d", TypeId::kFloat64, true},
                             {"s", TypeId::kString, false}});
-    RowVec rows;
-    rows.reserve(kRows);
+    rows_.reserve(kRows);
     for (int64_t i = 0; i < kRows; ++i) {
-      rows.push_back({Value(i), Value(i % 64),
-                      i % 11 == 0 ? Value::Null() : Value(i % 1000),
-                      i % 13 == 0 ? Value::Null() : Value(0.5 * (i % 97)),
-                      Value("r" + std::to_string(i % 7))});
+      rows_.push_back({Value(i), Value(i % 64),
+                       i % 11 == 0 ? Value::Null() : Value(i % 1000),
+                       i % 13 == 0 ? Value::Null() : Value(0.5 * (i % 97)),
+                       Value("r" + std::to_string(i % 7))});
     }
-    auto df = vec_->CreateDataFrame(schema_, rows, "t").ValueOrDie();
+    auto df = session_->CreateDataFrame(schema_, rows_, "t").ValueOrDie();
     rel_ = IndexedDataFrame::CreateIndex(df, 0, "t_by_k").ValueOrDie()
                .relation();
-    pred_ = BindExpr(And(Lt(Col("v"), Lit(Value(int64_t{700}))),
-                         Ne(Col("s"), Lit(Value("r3")))),
-                     *schema_)
-                .ValueOrDie();
+    table_ = oracle_->CreateDataFrame(schema_, rows_, "t").ValueOrDie();
+    pred_ = BindExpr(Predicate(), *schema_).ValueOrDie();
+  }
+
+  /// The scan predicate, unbound (the oracle DataFrame binds its own copy).
+  static ExprPtr Predicate() {
+    return And(Lt(Col("v"), Lit(Value(int64_t{700}))),
+               Ne(Col("s"), Lit(Value("r3"))));
   }
 
   PushedFilter Pushed() {
     return PushedFilter::FromSplit(SplitForCompilation(pred_, *schema_));
   }
 
+  ExprPtr Bound(const ExprPtr& e) { return BindExpr(e, *schema_).ValueOrDie(); }
+
+  /// Rows of `df` through the vanilla plan, sorted.
+  static RowVec Oracle(const Result<DataFrame>& df) {
+    RowVec rows = df.ValueOrDie().Collect().ValueOrDie();
+    SortRows(&rows);
+    return rows;
+  }
+
+  static RowVec Sorted(RowVec rows) {
+    SortRows(&rows);
+    return rows;
+  }
+
   static constexpr int64_t kRows = 20000;
-  SessionPtr vec_;
-  SessionPtr scalar_;
+  SessionPtr session_;  // runs the fused indexed operators
+  SessionPtr oracle_;   // plain tables, vanilla plans
   SchemaPtr schema_;
+  RowVec rows_;
   IndexedRelationPtr rel_;
+  DataFrame table_;
   ExprPtr pred_;
 };
 
 TEST_F(VectorizedOperatorTest, FilterScanMatchesScalarAndCountsMetrics) {
   IndexedScanFilterOp scan(rel_, pred_, Pushed());
+  session_->metrics().Reset();
+  RowVec got = Sorted(CollectRows(scan.Execute(session_->exec()).ValueOrDie()));
+  RowVec want = Oracle(table_.Filter(Predicate()));
 
-  vec_->metrics().Reset();
-  RowVec with_vec = CollectRows(scan.Execute(vec_->exec()).ValueOrDie());
-  const auto& mv = vec_->metrics();
-  EXPECT_GT(mv.rows_filtered_vectorized(), 0u);
-  EXPECT_GT(mv.vector_batches_evaluated(), 0u);
-  EXPECT_EQ(mv.rows_filtered_vectorized(), mv.rows_filtered_encoded());
-
-  scalar_->metrics().Reset();
-  RowVec without = CollectRows(scan.Execute(scalar_->exec()).ValueOrDie());
-  const auto& ms = scalar_->metrics();
-  EXPECT_EQ(ms.rows_filtered_vectorized(), 0u);
-  EXPECT_EQ(ms.vector_batches_evaluated(), 0u);
-  EXPECT_GT(ms.rows_filtered_encoded(), 0u);
-
-  ASSERT_FALSE(with_vec.empty());
-  EXPECT_EQ(with_vec, without);  // same flatten order: byte-identical rows
-  EXPECT_EQ(mv.rows_filtered_encoded(), ms.rows_filtered_encoded());
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+  const auto& m = session_->metrics();
+  EXPECT_GT(m.rows_filtered_vectorized(), 0u);
+  EXPECT_GT(m.vector_batches_evaluated(), 0u);
+  EXPECT_EQ(m.rows_filtered_vectorized(), m.rows_filtered_encoded());
+  EXPECT_EQ(m.rows_filtered_encoded(), kRows - want.size());
 }
 
 TEST_F(VectorizedOperatorTest, GroupedFusedAggregateMatchesScalar) {
-  std::vector<ExprPtr> groups = {BindExpr(Col("g"), *schema_).ValueOrDie()};
-  std::vector<AggSpec> aggs = {
-      CountStar("cnt"),
-      SumOf(BindExpr(Col("v"), *schema_).ValueOrDie(), "sv"),
-      AvgOf(BindExpr(Col("d"), *schema_).ValueOrDie(), "ad"),
-      MinOf(BindExpr(Col("v"), *schema_).ValueOrDie(), "mn"),
-      MaxOf(BindExpr(Col("s"), *schema_).ValueOrDie(), "mx")};
+  auto aggs = [](const std::function<ExprPtr(ExprPtr)>& bind) {
+    return std::vector<AggSpec>{CountStar("cnt"), SumOf(bind(Col("v")), "sv"),
+                                AvgOf(bind(Col("d")), "ad"),
+                                MinOf(bind(Col("v")), "mn"),
+                                MaxOf(bind(Col("s")), "mx")};
+  };
   SchemaPtr out = Schema::Make({{"g", TypeId::kInt64, false},
                                 {"cnt", TypeId::kInt64, false},
                                 {"sv", TypeId::kInt64, true},
                                 {"ad", TypeId::kFloat64, true},
                                 {"mn", TypeId::kInt64, true},
                                 {"mx", TypeId::kString, true}});
-  IndexedScanAggregateOp agg(rel_, pred_, Pushed(), groups, aggs, out);
+  IndexedScanAggregateOp agg(rel_, pred_, Pushed(), {Bound(Col("g"))},
+                             aggs([this](ExprPtr e) { return Bound(e); }), out);
+  session_->metrics().Reset();
+  RowVec got = Sorted(CollectRows(agg.Execute(session_->exec()).ValueOrDie()));
+  EXPECT_GT(session_->metrics().rows_filtered_vectorized(), 0u);
+  EXPECT_GT(session_->metrics().vector_batches_evaluated(), 0u);
+  EXPECT_GT(session_->metrics().rows_aggregated_encoded(), 0u);
 
-  vec_->metrics().Reset();
-  RowVec with_vec = CollectRows(agg.Execute(vec_->exec()).ValueOrDie());
-  EXPECT_GT(vec_->metrics().rows_filtered_vectorized(), 0u);
-  EXPECT_GT(vec_->metrics().rows_aggregated_encoded(), 0u);
-
-  scalar_->metrics().Reset();
-  RowVec without = CollectRows(agg.Execute(scalar_->exec()).ValueOrDie());
-  EXPECT_EQ(scalar_->metrics().rows_filtered_vectorized(), 0u);
-
-  SortRows(&with_vec);
-  SortRows(&without);
-  ASSERT_FALSE(with_vec.empty());
-  EXPECT_EQ(with_vec, without);  // bit-identical, doubles included
+  RowVec want = Oracle(table_.Filter(Predicate()).ValueOrDie().Aggregate(
+      {Col("g")}, aggs([](ExprPtr e) { return e; })));
+  ASSERT_EQ(want.size(), 64u);
+  // Exact, doubles included: every `d` is a multiple of 0.5, so the sums
+  // do not depend on accumulation order.
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(VectorizedOperatorTest, UngroupedFusedAggregateUsesLaneFastPath) {
-  std::vector<AggSpec> aggs = {
-      CountStar("cnt"),
-      SumOf(BindExpr(Col("v"), *schema_).ValueOrDie(), "sv"),
-      SumOf(BindExpr(Col("d"), *schema_).ValueOrDie(), "sd"),
-      AvgOf(BindExpr(Col("d"), *schema_).ValueOrDie(), "ad"),
-      MinOf(BindExpr(Col("v"), *schema_).ValueOrDie(), "mn"),
-      MaxOf(BindExpr(Col("v"), *schema_).ValueOrDie(), "mx")};
+  auto aggs = [](const std::function<ExprPtr(ExprPtr)>& bind) {
+    return std::vector<AggSpec>{CountStar("cnt"), SumOf(bind(Col("v")), "sv"),
+                                SumOf(bind(Col("d")), "sd"),
+                                AvgOf(bind(Col("d")), "ad"),
+                                MinOf(bind(Col("v")), "mn"),
+                                MaxOf(bind(Col("v")), "mx")};
+  };
   SchemaPtr out = Schema::Make({{"cnt", TypeId::kInt64, false},
                                 {"sv", TypeId::kInt64, true},
                                 {"sd", TypeId::kFloat64, true},
                                 {"ad", TypeId::kFloat64, true},
                                 {"mn", TypeId::kInt64, true},
                                 {"mx", TypeId::kInt64, true}});
-  IndexedScanAggregateOp agg(rel_, pred_, Pushed(), {}, aggs, out);
-
-  vec_->metrics().Reset();
-  RowVec with_vec = CollectRows(agg.Execute(vec_->exec()).ValueOrDie());
+  IndexedScanAggregateOp agg(rel_, pred_, Pushed(), {},
+                             aggs([this](ExprPtr e) { return Bound(e); }), out);
+  session_->metrics().Reset();
+  RowVec got = CollectRows(agg.Execute(session_->exec()).ValueOrDie());
   // Every surviving row accumulates straight off the payload lanes.
-  EXPECT_GT(vec_->metrics().rows_filtered_vectorized(), 0u);
-  EXPECT_GT(vec_->metrics().rows_aggregated_encoded(), 0u);
+  const auto& m = session_->metrics();
+  EXPECT_GT(m.rows_filtered_vectorized(), 0u);
+  EXPECT_EQ(m.rows_aggregated_encoded(), kRows - m.rows_filtered_encoded());
 
-  RowVec without = CollectRows(agg.Execute(scalar_->exec()).ValueOrDie());
-  ASSERT_EQ(with_vec.size(), 1u);
-  EXPECT_EQ(with_vec, without);  // SUM/AVG doubles must be bit-identical
+  RowVec want = Oracle(table_.Filter(Predicate()).ValueOrDie().Aggregate(
+      {}, aggs([](ExprPtr e) { return e; })));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got, want);
+
+  // With no filter at all every lane survives and still accumulates
+  // straight off the payloads.
+  IndexedScanAggregateOp unfiltered(
+      rel_, nullptr, PushedFilter{}, {},
+      aggs([this](ExprPtr e) { return Bound(e); }), out);
+  session_->metrics().Reset();
+  RowVec all = CollectRows(unfiltered.Execute(session_->exec()).ValueOrDie());
+  EXPECT_EQ(session_->metrics().rows_aggregated_encoded(),
+            static_cast<uint64_t>(kRows));
+  EXPECT_EQ(session_->metrics().vector_batches_evaluated(), 0u);
+  EXPECT_EQ(all, Oracle(table_.Aggregate({}, aggs([](ExprPtr e) { return e; }))));
 }
 
 TEST_F(VectorizedOperatorTest, JoinBuildFilterMatchesScalarOnAllProbePaths) {
-  // Probe keys cycle over the build domain; duplicate build keys force
-  // multi-link chains so one probe yields several build candidates.
+  // The build side re-keys the fixture so every key heads a 4-row chain:
+  // one probe yields several candidates, and a segment's candidates cross
+  // the early-flush boundary.
+  constexpr int64_t kKeys = kRows / 4;
+  RowVec build_rows = rows_;
+  for (Row& r : build_rows) r[0] = Value(r[0].int64_value() % kKeys);
+  IndexedRelationPtr build_rel =
+      IndexedDataFrame::CreateIndex(
+          session_->CreateDataFrame(schema_, build_rows, "b").ValueOrDie(), 0,
+          "b_by_k")
+          .ValueOrDie()
+          .relation();
+  DataFrame build_table =
+      oracle_->CreateDataFrame(schema_, build_rows, "b").ValueOrDie();
   SchemaPtr probe_schema = Schema::Make(
-      {{"fk", TypeId::kInt64, false}, {"seq", TypeId::kInt64, false}});
-  RowVec probe_rows;
-  for (int64_t i = 0; i < 6000; ++i) {
-    probe_rows.push_back({Value(i % (kRows + 200)), Value(i)});
-  }
-  ExprPtr build_pred =
-      BindExpr(Lt(Col("g"), Lit(Value(int64_t{32}))), *schema_).ValueOrDie();
-  PushedFilter build_filter =
-      PushedFilter::FromSplit(SplitForCompilation(build_pred, *schema_));
-  SchemaPtr out_schema = Schema::Concat(*schema_, *probe_schema);
+      {{"fk", TypeId::kInt64, true}, {"seq", TypeId::kInt64, false}});
 
-  struct PathCase {
-    bool broadcast;
-    size_t binary_min;  // forces legacy row exchange when huge
+  struct KeyCase {
     const char* name;
+    std::function<ExprPtr()> make;
   };
-  const PathCase cases[] = {{true, 0, "broadcast"},
-                            {false, 0, "binary"},
-                            {false, 1u << 30, "legacy"}};
-  for (const PathCase& pc : cases) {
-    SessionPtr vec_session = MakeSession(true, pc.binary_min);
-    SessionPtr scalar_session = MakeSession(false, pc.binary_min);
-    RowVec results[2];
-    SessionPtr sessions[2] = {vec_session, scalar_session};
-    for (int which = 0; which < 2; ++which) {
-      SessionPtr& s = sessions[which];
-      auto probe_df =
-          s->CreateDataFrame(probe_schema, probe_rows, "probe").ValueOrDie();
-      auto probe_op = s->PlanQuery(probe_df.plan()).ValueOrDie();
-      ExprPtr probe_key = BindExpr(Col("fk"), *probe_schema).ValueOrDie();
-      IndexedJoinOp join(rel_, probe_op, probe_key, /*indexed_on_left=*/true,
-                         pc.broadcast, out_schema, build_filter);
-      s->metrics().Reset();
-      results[which] = CollectRows(join.Execute(s->exec()).ValueOrDie());
+  const KeyCase key_cases[] = {
+      {"column key", [] { return Col("fk"); }},
+      {"expression key", [] { return Add(Col("fk"), Lit(Value(int64_t{1}))); }}};
+  struct FilterCase {
+    const char* name;
+    std::function<ExprPtr()> make;  // null: no build filter
+  };
+  const FilterCase filter_cases[] = {
+      {"no filter", nullptr},
+      {"compiled", [] { return Lt(Col("g"), Lit(Value(int64_t{32}))); }},
+      {"compiled+residual", [] {
+         return And(Lt(Col("g"), Lit(Value(int64_t{32}))), Like(Col("s"), "r1%"));
+       }}};
+
+  // Probe sizes straddle 4096 rows; keys cycle past the build domain (the
+  // last 200 miss) and every 17th is null.
+  for (size_t probe_size : {100u, 2000u, 5000u}) {
+    RowVec probe_rows;
+    for (size_t i = 0; i < probe_size; ++i) {
+      const int64_t seq = static_cast<int64_t>(i);
+      probe_rows.push_back({i % 17 == 5 ? Value::Null()
+                                        : Value((seq * 3) % (kKeys + 200)),
+                            Value(seq)});
     }
-    EXPECT_GT(vec_session->metrics().rows_filtered_vectorized(), 0u)
-        << pc.name;
-    EXPECT_EQ(scalar_session->metrics().rows_filtered_vectorized(), 0u)
-        << pc.name;
-    ASSERT_FALSE(results[0].empty()) << pc.name;
-    EXPECT_EQ(results[0], results[1]) << pc.name;
+    auto probe_op =
+        session_
+            ->PlanQuery(session_->CreateDataFrame(probe_schema, probe_rows, "p")
+                            .ValueOrDie()
+                            .plan())
+            .ValueOrDie();
+    DataFrame probe_table =
+        oracle_->CreateDataFrame(probe_schema, probe_rows, "p").ValueOrDie();
+
+    for (const KeyCase& kc : key_cases) {
+      ExprPtr probe_key = BindExpr(kc.make(), *probe_schema).ValueOrDie();
+      // Every non-null key probes once; keys inside the domain hit.
+      uint64_t probes = 0;
+      uint64_t hits = 0;
+      for (const Row& r : probe_rows) {
+        Value k = probe_key->Eval(r).ValueOrDie();
+        if (k.is_null()) continue;
+        ++probes;
+        if (k.int64_value() < kKeys) ++hits;
+      }
+      for (const FilterCase& fc : filter_cases) {
+        PushedFilter pushed;
+        DataFrame build_side = build_table;
+        if (fc.make) {
+          PredicateSplit split =
+              SplitForCompilation(Bound(fc.make()), *schema_);
+          ASSERT_TRUE(split.compiled.has_value()) << fc.name;
+          pushed = PushedFilter::FromSplit(std::move(split));
+          build_side = build_table.Filter(fc.make()).ValueOrDie();
+        }
+        for (bool indexed_on_left : {true, false}) {
+          RowVec want =
+              indexed_on_left
+                  ? Oracle(build_side.Join(probe_table, Col("k"), kc.make()))
+                  : Oracle(probe_table.Join(build_side, kc.make(), Col("k")));
+          SchemaPtr out_schema =
+              indexed_on_left ? Schema::Concat(*schema_, *probe_schema)
+                              : Schema::Concat(*probe_schema, *schema_);
+          for (bool broadcast : {true, false}) {
+            SCOPED_TRACE(std::string(broadcast ? "broadcast" : "shuffled") +
+                         ", " + fc.name + ", " + kc.name +
+                         (indexed_on_left ? ", indexed left" : ", indexed right") +
+                         ", " + std::to_string(probe_size) + " probe rows");
+            IndexedJoinOp join(build_rel, probe_op, probe_key, indexed_on_left,
+                               broadcast, out_schema, pushed);
+            session_->metrics().Reset();
+            RowVec got =
+                Sorted(CollectRows(join.Execute(session_->exec()).ValueOrDie()));
+            ASSERT_FALSE(want.empty());
+            EXPECT_EQ(got, want);
+
+            const auto& m = session_->metrics();
+            EXPECT_EQ(m.index_probes(), probes);
+            EXPECT_EQ(m.index_hits(), hits);
+            if (fc.make) {
+              EXPECT_GT(m.rows_filtered_vectorized(), 0u);
+              EXPECT_GT(m.vector_batches_evaluated(), 0u);
+            } else {
+              EXPECT_EQ(got.size(), 4 * hits);  // every hit joins its chain
+              EXPECT_EQ(m.rows_filtered_vectorized(), 0u);
+            }
+            if (broadcast) {
+              EXPECT_EQ(m.shuffle_encoded_bytes(), 0u);
+            } else {
+              EXPECT_GT(m.shuffle_encoded_bytes(), 0u);
+            }
+          }
+        }
+      }
+    }
   }
 }
 
