@@ -1,112 +1,130 @@
 // Execution metrics: rows/bytes shuffled, tasks run, index probes. Used by
 // benchmarks and tests to assert which physical path actually executed
 // (e.g. "this query probed the index and shuffled nothing").
+//
+// Every counter the engine, the query service and the view manager keep
+// is one line of IDF_COUNTERS below. QueryMetrics, ServiceStats, the
+// service's per-query fold, Reset, ToString, ToJson and the README table
+// (checked by scripts/check_metric_docs.py) are all generated from or
+// looped over this list, so adding a counter is adding one line here.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace idf {
 
+// X(CamelName, snake_name): QueryMetrics gets Add<CamelName>(n = 1) and
+// snake_name(); ServiceStats gets a `snake_name` field; exports use
+// snake_name as the key.
+#define IDF_COUNTERS(X)                                                        \
+  /* Engine: exchange, tasks, probes, scans. */                                \
+  X(ShuffledRows, shuffled_rows)                                               \
+  X(ShuffledBytes, shuffled_bytes)                                             \
+  X(BroadcastBytes, broadcast_bytes)                                           \
+  X(Task, tasks_run)                                                           \
+  X(IndexProbes, index_probes)                                                 \
+  X(IndexHits, index_hits)                                                     \
+  X(RowsScanned, rows_scanned)                                                 \
+  X(RowsProduced, rows_produced)                                               \
+  X(Morsels, morsels_dispatched)                                               \
+  X(ShuffleEncodedBytes, shuffle_encoded_bytes)                                \
+  X(DecodesAvoided, decodes_avoided)                                           \
+  /* Engine: compiled, vectorized and fused-aggregate evaluation. */           \
+  X(PredicatesCompiled, predicates_compiled)                                   \
+  X(RowsFilteredEncoded, rows_filtered_encoded)                                \
+  X(RowsFilteredVectorized, rows_filtered_vectorized)                          \
+  X(VectorBatches, vector_batches_evaluated)                                   \
+  X(AggMorsels, agg_morsels)                                                   \
+  X(AggPartialsMerged, agg_partials_merged)                                    \
+  X(RowsAggregatedEncoded, rows_aggregated_encoded)                            \
+  /* Engine: write path and background compaction. */                         \
+  X(AppendBatches, append_batches)                                             \
+  X(AppendPartitionLocks, append_partition_locks)                              \
+  X(RowsAppendedParallel, rows_appended_parallel)                              \
+  X(CompactionsRun, compactions_run)                                           \
+  X(ChainLinksRewritten, chain_links_rewritten)                                \
+  X(BytesReclaimed, bytes_reclaimed)                                           \
+  /* Engine: secondary-index probes and their append-time upkeep. */           \
+  X(BitmapProbes, bitmap_probes)                                               \
+  X(RangeProbes, range_probes)                                                 \
+  X(IndexScansAvoided, index_scans_avoided)                                    \
+  X(BitmapMaintenanceUs, bitmap_maintenance_us)                                \
+  X(RangeMaintenanceUs, range_maintenance_us)                                  \
+  /* Service: query outcomes. */                                               \
+  X(Submitted, submitted)                                                      \
+  X(Succeeded, succeeded)                                                      \
+  X(Rejected, rejected)                                                        \
+  X(Cancelled, cancelled)                                                      \
+  X(DeadlineExceeded, deadline_exceeded)                                       \
+  X(Failed, failed)                                                            \
+  /* Service: prepared statements and the plan cache. */                       \
+  X(StatementsPrepared, statements_prepared)                                   \
+  X(PlanCacheHits, plan_cache_hits)                                            \
+  X(PlanCacheMisses, plan_cache_misses)                                        \
+  X(PreparedExecutions, prepared_executions)                                   \
+  X(PreparedReplans, prepared_replans)                                         \
+  /* Service: network front end. */                                            \
+  X(NetConnections, net_connections)                                           \
+  X(NetRequests, net_requests)                                                 \
+  X(NetBusyRejections, net_busy_rejections)                                    \
+  /* Views: incremental maintenance. */                                        \
+  X(ArrangementsShared, arrangements_shared)                                   \
+  X(DeltasPropagated, deltas_propagated)                                       \
+  X(RowsMaintainedIncrementally, rows_maintained_incrementally)                \
+  X(ViewsRecomputed, views_recomputed)                                         \
+  X(MaintenanceErrors, maintenance_errors)
+
+enum class Counter : size_t {
+#define IDF_COUNTER_ENUM(Camel, snake) k##Camel,
+  IDF_COUNTERS(IDF_COUNTER_ENUM)
+#undef IDF_COUNTER_ENUM
+};
+
+#define IDF_COUNTER_ONE(Camel, snake) +1
+inline constexpr size_t kNumCounters = 0 IDF_COUNTERS(IDF_COUNTER_ONE);
+#undef IDF_COUNTER_ONE
+
+/// Export names, indexed by Counter.
+inline constexpr std::array<const char*, kNumCounters> kCounterNames = {
+#define IDF_COUNTER_NAME(Camel, snake) #snake,
+    IDF_COUNTERS(IDF_COUNTER_NAME)
+#undef IDF_COUNTER_NAME
+};
+
+/// A plain copy of every counter, indexed by Counter.
+using CounterValues = std::array<uint64_t, kNumCounters>;
+
+/// Renders `values` as "metrics{name=value, ...}" in registry order.
+std::string FormatCounters(const CounterValues& values);
+
 class QueryMetrics {
  public:
+#define IDF_COUNTER_ACCESSORS(Camel, snake)                      \
+  void Add##Camel(uint64_t n = 1) { Add(Counter::k##Camel, n); } \
+  uint64_t snake() const { return Get(Counter::k##Camel); }
+  IDF_COUNTERS(IDF_COUNTER_ACCESSORS)
+#undef IDF_COUNTER_ACCESSORS
+
   void Reset();
-
-  void AddShuffledRows(uint64_t n) { shuffled_rows_ += n; }
-  void AddShuffledBytes(uint64_t n) { shuffled_bytes_ += n; }
-  void AddBroadcastBytes(uint64_t n) { broadcast_bytes_ += n; }
-  void AddTask() { tasks_run_ += 1; }
-  void AddIndexProbes(uint64_t n) { index_probes_ += n; }
-  void AddIndexHits(uint64_t n) { index_hits_ += n; }
-  void AddRowsScanned(uint64_t n) { rows_scanned_ += n; }
-  void AddRowsProduced(uint64_t n) { rows_produced_ += n; }
-  void AddMorsels(uint64_t n) { morsels_dispatched_ += n; }
-  void AddShuffleEncodedBytes(uint64_t n) { shuffle_encoded_bytes_ += n; }
-  void AddDecodesAvoided(uint64_t n) { decodes_avoided_ += n; }
-  void AddPredicatesCompiled(uint64_t n) { predicates_compiled_ += n; }
-  void AddRowsFilteredEncoded(uint64_t n) { rows_filtered_encoded_ += n; }
-  void AddRowsFilteredVectorized(uint64_t n) { rows_filtered_vectorized_ += n; }
-  void AddVectorBatches(uint64_t n) { vector_batches_evaluated_ += n; }
-  void AddAggMorsels(uint64_t n) { agg_morsels_ += n; }
-  void AddAggPartialsMerged(uint64_t n) { agg_partials_merged_ += n; }
-  void AddRowsAggregatedEncoded(uint64_t n) { rows_aggregated_encoded_ += n; }
-  void AddAppendBatches(uint64_t n) { append_batches_ += n; }
-  void AddAppendPartitionLocks(uint64_t n) { append_partition_locks_ += n; }
-  void AddRowsAppendedParallel(uint64_t n) { rows_appended_parallel_ += n; }
-  void AddCompactionsRun(uint64_t n) { compactions_run_ += n; }
-  void AddChainLinksRewritten(uint64_t n) { chain_links_rewritten_ += n; }
-  void AddBytesReclaimed(uint64_t n) { bytes_reclaimed_ += n; }
-  void AddBitmapProbes(uint64_t n) { bitmap_probes_ += n; }
-  void AddRangeProbes(uint64_t n) { range_probes_ += n; }
-  void AddIndexScansAvoided(uint64_t n) { index_scans_avoided_ += n; }
-  void AddBitmapMaintenanceUs(uint64_t n) { bitmap_maintenance_us_ += n; }
-  void AddRangeMaintenanceUs(uint64_t n) { range_maintenance_us_ += n; }
-
-  uint64_t shuffled_rows() const { return shuffled_rows_; }
-  uint64_t shuffled_bytes() const { return shuffled_bytes_; }
-  uint64_t broadcast_bytes() const { return broadcast_bytes_; }
-  uint64_t tasks_run() const { return tasks_run_; }
-  uint64_t index_probes() const { return index_probes_; }
-  uint64_t index_hits() const { return index_hits_; }
-  uint64_t rows_scanned() const { return rows_scanned_; }
-  uint64_t rows_produced() const { return rows_produced_; }
-  uint64_t morsels_dispatched() const { return morsels_dispatched_; }
-  uint64_t shuffle_encoded_bytes() const { return shuffle_encoded_bytes_; }
-  uint64_t decodes_avoided() const { return decodes_avoided_; }
-  uint64_t predicates_compiled() const { return predicates_compiled_; }
-  uint64_t rows_filtered_encoded() const { return rows_filtered_encoded_; }
-  uint64_t rows_filtered_vectorized() const { return rows_filtered_vectorized_; }
-  uint64_t vector_batches_evaluated() const { return vector_batches_evaluated_; }
-  uint64_t agg_morsels() const { return agg_morsels_; }
-  uint64_t agg_partials_merged() const { return agg_partials_merged_; }
-  uint64_t rows_aggregated_encoded() const { return rows_aggregated_encoded_; }
-  uint64_t append_batches() const { return append_batches_; }
-  uint64_t append_partition_locks() const { return append_partition_locks_; }
-  uint64_t rows_appended_parallel() const { return rows_appended_parallel_; }
-  uint64_t compactions_run() const { return compactions_run_; }
-  uint64_t chain_links_rewritten() const { return chain_links_rewritten_; }
-  uint64_t bytes_reclaimed() const { return bytes_reclaimed_; }
-  uint64_t bitmap_probes() const { return bitmap_probes_; }
-  uint64_t range_probes() const { return range_probes_; }
-  uint64_t index_scans_avoided() const { return index_scans_avoided_; }
-  uint64_t bitmap_maintenance_us() const { return bitmap_maintenance_us_; }
-  uint64_t range_maintenance_us() const { return range_maintenance_us_; }
-
-  std::string ToString() const;
+  CounterValues Snapshot() const;
+  /// Adds every non-zero counter into `total` and zeroes it here (the
+  /// service folds each finished query's private block into its own).
+  void DrainInto(QueryMetrics* total);
+  std::string ToString() const { return FormatCounters(Snapshot()); }
 
  private:
-  std::atomic<uint64_t> shuffled_rows_{0};
-  std::atomic<uint64_t> shuffled_bytes_{0};
-  std::atomic<uint64_t> broadcast_bytes_{0};
-  std::atomic<uint64_t> tasks_run_{0};
-  std::atomic<uint64_t> index_probes_{0};
-  std::atomic<uint64_t> index_hits_{0};
-  std::atomic<uint64_t> rows_scanned_{0};
-  std::atomic<uint64_t> rows_produced_{0};
-  std::atomic<uint64_t> morsels_dispatched_{0};
-  std::atomic<uint64_t> shuffle_encoded_bytes_{0};
-  std::atomic<uint64_t> decodes_avoided_{0};
-  std::atomic<uint64_t> predicates_compiled_{0};
-  std::atomic<uint64_t> rows_filtered_encoded_{0};
-  std::atomic<uint64_t> rows_filtered_vectorized_{0};
-  std::atomic<uint64_t> vector_batches_evaluated_{0};
-  std::atomic<uint64_t> agg_morsels_{0};
-  std::atomic<uint64_t> agg_partials_merged_{0};
-  std::atomic<uint64_t> rows_aggregated_encoded_{0};
-  std::atomic<uint64_t> append_batches_{0};
-  std::atomic<uint64_t> append_partition_locks_{0};
-  std::atomic<uint64_t> rows_appended_parallel_{0};
-  std::atomic<uint64_t> compactions_run_{0};
-  std::atomic<uint64_t> chain_links_rewritten_{0};
-  std::atomic<uint64_t> bytes_reclaimed_{0};
-  // Secondary indexes: probe counts per kind, rows an index probe skipped
-  // scanning, and per-kind maintenance time inside append batches.
-  std::atomic<uint64_t> bitmap_probes_{0};
-  std::atomic<uint64_t> range_probes_{0};
-  std::atomic<uint64_t> index_scans_avoided_{0};
-  std::atomic<uint64_t> bitmap_maintenance_us_{0};
-  std::atomic<uint64_t> range_maintenance_us_{0};
+  void Add(Counter c, uint64_t n) {
+    values_[static_cast<size_t>(c)].fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t Get(Counter c) const {
+    return values_[static_cast<size_t>(c)].load(std::memory_order_relaxed);
+  }
+
+  std::array<std::atomic<uint64_t>, kNumCounters> values_{};
 };
 
 }  // namespace idf

@@ -51,10 +51,12 @@ Status Client::SendFrame(Op op, const std::string& payload) {
 Status Client::SendAll(const std::string& bytes) {
   size_t sent = 0;
   while (sent < bytes.size()) {
-    const ssize_t n = write(fd_, bytes.data() + sent, bytes.size() - sent);
+    // MSG_NOSIGNAL: a server that went away is an error, not SIGPIPE.
+    const ssize_t n =
+        send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("write");
+      return Errno("send");
     }
     sent += static_cast<size_t>(n);
   }

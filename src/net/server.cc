@@ -177,7 +177,7 @@ struct Server::Impl {
         }
         const int one = 1;
         setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        service->NoteNetConnection();
+        service->metrics().AddNetConnections();
         // Hand the fd to a loop round-robin; the loop adopts it at its
         // next wakeup (connections are only ever touched by their loop).
         IoLoop* loop = loops[next_loop++ % loops.size()].get();
@@ -209,8 +209,10 @@ struct Server::Impl {
   /// Returns false when the connection died.
   bool Flush(Connection& conn) {
     while (conn.want_write()) {
-      const ssize_t n = write(conn.fd, conn.outbuf.data() + conn.outpos,
-                              conn.outbuf.size() - conn.outpos);
+      // MSG_NOSIGNAL: a peer that reset the connection must cost this
+      // connection (EPIPE), not deliver SIGPIPE to the whole process.
+      const ssize_t n = send(conn.fd, conn.outbuf.data() + conn.outpos,
+                             conn.outbuf.size() - conn.outpos, MSG_NOSIGNAL);
       if (n > 0) {
         conn.outpos += static_cast<size_t>(n);
         continue;
@@ -226,7 +228,7 @@ struct Server::Impl {
 
   /// Executes one request frame and queues the response.
   void HandleFrame(Connection& conn, const Frame& frame) {
-    service->NoteNetRequest();
+    service->metrics().AddNetRequests();
     switch (frame.op) {
       case Op::kPrepare: {
         WireReader r(frame.payload);
@@ -301,14 +303,24 @@ struct Server::Impl {
 
   void QueueQueryResult(Connection& conn, const QueryResult& result) {
     if (result.status.ok()) {
-      conn.Queue(EncodeFrame(
-          Op::kOkRows,
-          EncodeOkRows(result.epoch,
-                       result.schema ? *result.schema : Schema(),
-                       result.rows)));
+      std::string payload = EncodeOkRows(
+          result.epoch, result.schema ? *result.schema : Schema(), result.rows);
+      // A frame past the limit would poison the client's decoder and with
+      // it the connection; answer with an error the client can act on.
+      if (payload.size() + 1 > kMaxFrameBytes) {
+        conn.Queue(EncodeFrame(
+            Op::kError,
+            EncodeError(Status::InvalidArgument(
+                "result of " + std::to_string(result.rows.size()) +
+                " rows encodes to " + std::to_string(payload.size() + 1) +
+                " bytes, over the " + std::to_string(kMaxFrameBytes) +
+                "-byte frame limit"))));
+        return;
+      }
+      conn.Queue(EncodeFrame(Op::kOkRows, payload));
     } else if (result.status.IsCapacityError()) {
       // Backpressure, not failure: the client should retry.
-      service->NoteNetBusyRejection();
+      service->metrics().AddNetBusyRejections();
       conn.Queue(EncodeFrame(Op::kBusy, EncodeBusy(result.status)));
     } else {
       conn.Queue(EncodeFrame(Op::kError, EncodeError(result.status)));

@@ -176,13 +176,13 @@ Result<ExecutorContextPtr> QueryService::AcquireExec() {
 }
 
 void QueryService::ReleaseExec(ExecutorContextPtr exec) {
+  exec->metrics().DrainInto(&metrics());
   // A planning session may have baked this context into a memoized plan;
   // pooling it then would let two queries share mutable per-query state.
   // use_count()==1 proves we hold the only reference.
   if (exec.use_count() != 1) return;
   exec->SetCancellation(nullptr);
   exec->SetParameters(nullptr);
-  exec->metrics().Reset();
   std::lock_guard<std::mutex> lock(exec_pool_mu_);
   if (exec_pool_.size() < config_.max_inflight + config_.max_queue) {
     exec_pool_.push_back(std::move(exec));
@@ -222,31 +222,14 @@ Status QueryService::RunAdmitted(const std::string& sql,
     // final check keeps "completed" and "timed out" mutually exclusive.
     return exec->CheckCancelled();
   }();
-  // The query's private metrics are scrubbed when the executor returns to
-  // the pool; fold the batch-execution counters into the service totals on
-  // every outcome so Stats() reflects cancelled and failed queries too.
-  FoldExecMetrics(*exec);
   ReleaseExec(std::move(exec));
   return status;
-}
-
-void QueryService::FoldExecMetrics(ExecutorContext& exec) {
-  rows_filtered_vectorized_.fetch_add(exec.metrics().rows_filtered_vectorized(),
-                                      std::memory_order_relaxed);
-  vector_batches_evaluated_.fetch_add(exec.metrics().vector_batches_evaluated(),
-                                      std::memory_order_relaxed);
-  bitmap_probes_.fetch_add(exec.metrics().bitmap_probes(),
-                           std::memory_order_relaxed);
-  range_probes_.fetch_add(exec.metrics().range_probes(),
-                          std::memory_order_relaxed);
-  index_scans_avoided_.fetch_add(exec.metrics().index_scans_avoided(),
-                                 std::memory_order_relaxed);
 }
 
 QueryResult QueryService::Execute(const std::string& sql,
                                   const QueryOptions& options) {
   const Clock::time_point start = Clock::now();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  metrics().AddSubmitted();
 
   CancellationTokenPtr token =
       options.cancel != nullptr ? options.cancel : CancellationToken::Make();
@@ -269,18 +252,18 @@ QueryResult QueryService::Execute(const std::string& sql,
   result.total_micros = MicrosSince(start);
 
   if (result.status.ok()) {
-    succeeded_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddSucceeded();
     queue_hist_.Record(result.queue_micros);
     exec_hist_.Record(result.exec_micros);
     total_hist_.Record(result.total_micros);
   } else if (result.status.IsCapacityError()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddRejected();
   } else if (result.status.IsCancelled()) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddCancelled();
   } else if (result.status.IsDeadlineExceeded()) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddDeadlineExceeded();
   } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddFailed();
   }
   if (!result.status.ok()) {
     result.rows.clear();
@@ -326,14 +309,14 @@ Result<PreparedInfo> QueryService::Prepare(const std::string& sql) {
   PreparedStatementPtr stmt = plan_cache_.Lookup(fingerprint);
   if (stmt != nullptr &&
       stmt->ddl_version == ddl_version_.load(std::memory_order_acquire)) {
-    plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddPlanCacheHits();
   } else {
     if (stmt != nullptr) plan_cache_.Erase(fingerprint);  // stale: DDL raced
-    plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddPlanCacheMisses();
     IDF_ASSIGN_OR_RETURN(stmt, BuildStatement(sql, fingerprint));
     plan_cache_.Insert(stmt);
   }
-  statements_prepared_.fetch_add(1, std::memory_order_relaxed);
+  metrics().AddStatementsPrepared();
 
   PreparedInfo info;
   info.handle = next_handle_.fetch_add(1, std::memory_order_relaxed);
@@ -364,7 +347,7 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
   // DDL after prepare: transparently re-prepare from the statement's SQL
   // so long-lived handles survive RegisterTable, at one replan's cost.
   if (stmt->ddl_version != ddl_version_.load(std::memory_order_acquire)) {
-    plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddPlanCacheMisses();
     IDF_ASSIGN_OR_RETURN(PreparedStatementPtr fresh,
                          BuildStatement(stmt->sql, stmt->fingerprint));
     plan_cache_.Insert(fresh);
@@ -431,7 +414,7 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
             stmt->bound = fresh;
           }
           bound = std::move(fresh);
-          prepared_replans_.fetch_add(1, std::memory_order_relaxed);
+          metrics().AddPreparedReplans();
         }
       }
       result->epoch = bound->epoch;
@@ -448,7 +431,7 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
     // Fallback for non-patchable shapes (a parameter sits in a join key,
     // sort key, or aggregate): substitute the values as literals into the
     // analyzed tree and run the normal optimize-and-execute pipeline.
-    prepared_replans_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddPreparedReplans();
     EpochPins pins = snapshots_->Pin(stmt->relations);
     result->epoch = pins.epoch;
     IDF_ASSIGN_OR_RETURN(SessionPtr session, Session::MakeWithContext(exec));
@@ -464,7 +447,6 @@ Status QueryService::RunPreparedAdmitted(uint64_t handle,
     result->plan = std::move(plan);
     return exec->CheckCancelled();
   }();
-  FoldExecMetrics(*exec);
   ReleaseExec(std::move(exec));
   return status;
 }
@@ -473,7 +455,7 @@ QueryResult QueryService::ExecutePrepared(uint64_t handle,
                                           const std::vector<Value>& params,
                                           const QueryOptions& options) {
   const Clock::time_point start = Clock::now();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  metrics().AddSubmitted();
   QueryResult result;
 
   PreparedStatementPtr stmt;
@@ -491,7 +473,7 @@ QueryResult QueryService::ExecutePrepared(uint64_t handle,
         " parameter(s), got " + std::to_string(params.size()));
   }
   if (!result.status.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddFailed();
     result.total_micros = MicrosSince(start);
     return result;
   }
@@ -512,7 +494,7 @@ QueryResult QueryService::ExecutePrepared(uint64_t handle,
       result.status = Status::InvalidArgument(
           "parameter $" + std::to_string(i + 1) + ": " +
           cast.status().message());
-      failed_.fetch_add(1, std::memory_order_relaxed);
+      metrics().AddFailed();
       result.total_micros = MicrosSince(start);
       return result;
     }
@@ -539,19 +521,19 @@ QueryResult QueryService::ExecutePrepared(uint64_t handle,
   result.total_micros = MicrosSince(start);
 
   if (result.status.ok()) {
-    succeeded_.fetch_add(1, std::memory_order_relaxed);
-    prepared_executions_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddSucceeded();
+    metrics().AddPreparedExecutions();
     queue_hist_.Record(result.queue_micros);
     exec_hist_.Record(result.exec_micros);
     total_hist_.Record(result.total_micros);
   } else if (result.status.IsCapacityError()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddRejected();
   } else if (result.status.IsCancelled()) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddCancelled();
   } else if (result.status.IsDeadlineExceeded()) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddDeadlineExceeded();
   } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    metrics().AddFailed();
   }
   if (!result.status.ok()) {
     result.rows.clear();
@@ -561,25 +543,7 @@ QueryResult QueryService::ExecutePrepared(uint64_t handle,
 }
 
 void QueryService::ResetStats() {
-  submitted_.store(0, std::memory_order_relaxed);
-  succeeded_.store(0, std::memory_order_relaxed);
-  rejected_.store(0, std::memory_order_relaxed);
-  cancelled_.store(0, std::memory_order_relaxed);
-  deadline_exceeded_.store(0, std::memory_order_relaxed);
-  failed_.store(0, std::memory_order_relaxed);
-  rows_filtered_vectorized_.store(0, std::memory_order_relaxed);
-  vector_batches_evaluated_.store(0, std::memory_order_relaxed);
-  bitmap_probes_.store(0, std::memory_order_relaxed);
-  range_probes_.store(0, std::memory_order_relaxed);
-  index_scans_avoided_.store(0, std::memory_order_relaxed);
-  statements_prepared_.store(0, std::memory_order_relaxed);
-  plan_cache_hits_.store(0, std::memory_order_relaxed);
-  plan_cache_misses_.store(0, std::memory_order_relaxed);
-  prepared_executions_.store(0, std::memory_order_relaxed);
-  prepared_replans_.store(0, std::memory_order_relaxed);
-  net_connections_.store(0, std::memory_order_relaxed);
-  net_requests_.store(0, std::memory_order_relaxed);
-  net_busy_rejections_.store(0, std::memory_order_relaxed);
+  metrics().Reset();
   // The cache's lifetime eviction counter is monotone; remember the
   // watermark so Stats() reports evictions since the reset.
   eviction_baseline_.store(plan_cache_.evictions(), std::memory_order_relaxed);
@@ -590,126 +554,88 @@ void QueryService::ResetStats() {
 
 ServiceStats QueryService::Stats() const {
   ServiceStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.succeeded = succeeded_.load(std::memory_order_relaxed);
-  stats.rejected = rejected_.load(std::memory_order_relaxed);
-  stats.cancelled = cancelled_.load(std::memory_order_relaxed);
-  stats.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  stats.failed = failed_.load(std::memory_order_relaxed);
-  stats.rows_filtered_vectorized =
-      rows_filtered_vectorized_.load(std::memory_order_relaxed);
-  stats.vector_batches_evaluated =
-      vector_batches_evaluated_.load(std::memory_order_relaxed);
-  stats.bitmap_probes = bitmap_probes_.load(std::memory_order_relaxed);
-  stats.range_probes = range_probes_.load(std::memory_order_relaxed);
-  stats.index_scans_avoided =
-      index_scans_avoided_.load(std::memory_order_relaxed);
-  // Maintenance runs on the append path, which executes on the service's
-  // base context (shared by the snapshot manager), not a per-query one.
-  stats.bitmap_maintenance_us = base_exec_->metrics().bitmap_maintenance_us();
-  stats.range_maintenance_us = base_exec_->metrics().range_maintenance_us();
-  stats.statements_prepared = statements_prepared_.load(std::memory_order_relaxed);
-  stats.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
-  stats.plan_cache_misses = plan_cache_misses_.load(std::memory_order_relaxed);
-  stats.plan_cache_evictions =
-      plan_cache_.evictions() -
-      eviction_baseline_.load(std::memory_order_relaxed);
-  stats.prepared_executions =
-      prepared_executions_.load(std::memory_order_relaxed);
-  stats.prepared_replans = prepared_replans_.load(std::memory_order_relaxed);
-  stats.net_connections = net_connections_.load(std::memory_order_relaxed);
-  stats.net_requests = net_requests_.load(std::memory_order_relaxed);
-  stats.net_busy_rejections =
-      net_busy_rejections_.load(std::memory_order_relaxed);
+  stats.set_counters(base_exec_->metrics().Snapshot());
   stats.queue = queue_hist_.Summarize();
   stats.exec = exec_hist_.Summarize();
   stats.total = total_hist_.Summarize();
+  stats.plan_cache_evictions =
+      plan_cache_.evictions() -
+      eviction_baseline_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(compaction_mu_);
     for (const auto& c : compactors_) {
-      Compactor::Stats cs = c->stats();
-      stats.compactions_run += cs.compactions_run;
-      stats.chain_links_rewritten += cs.links_rewritten;
-      stats.bytes_reclaimed += cs.bytes_reclaimed;
-      stats.retired_pending += cs.retired_pending;
+      stats.retired_pending += c->stats().retired_pending;
     }
   }
   ViewManagerStats vs = views_->Stats();
   stats.views_registered = vs.views_registered;
   stats.view_subscribers = vs.view_subscribers;
-  stats.arrangements_shared = vs.arrangements_shared;
-  stats.deltas_propagated = vs.deltas_propagated;
-  stats.rows_maintained_incrementally = vs.rows_maintained_incrementally;
-  stats.views_recomputed = vs.views_recomputed;
   return stats;
 }
 
+CounterValues ServiceStats::counters() const {
+#define IDF_STATS_GET(Camel, snake) snake,
+  return {IDF_COUNTERS(IDF_STATS_GET)};
+#undef IDF_STATS_GET
+}
+
+void ServiceStats::set_counters(const CounterValues& values) {
+#define IDF_STATS_SET(Camel, snake) \
+  snake = values[static_cast<size_t>(Counter::k##Camel)];
+  IDF_COUNTERS(IDF_STATS_SET)
+#undef IDF_STATS_SET
+}
+
+namespace {
+
+/// The non-counter scalars of a ServiceStats, in export order.
+std::vector<std::pair<const char*, uint64_t>> Gauges(const ServiceStats& s) {
+  return {{"plan_cache_evictions", s.plan_cache_evictions},
+          {"retired_pending", s.retired_pending},
+          {"views_registered", s.views_registered},
+          {"view_subscribers", s.view_subscribers}};
+}
+
+}  // namespace
+
 std::string ServiceStats::ToJson() const {
   std::ostringstream out;
-  out << "{\"submitted\": " << submitted << ", \"succeeded\": " << succeeded
-      << ", \"rejected\": " << rejected << ", \"cancelled\": " << cancelled
-      << ", \"deadline_exceeded\": " << deadline_exceeded
-      << ", \"failed\": " << failed << ", \"queue\": " << queue.ToJson()
-      << ", \"exec\": " << exec.ToJson() << ", \"total\": " << total.ToJson()
-      << ", \"rows_filtered_vectorized\": " << rows_filtered_vectorized
-      << ", \"vector_batches_evaluated\": " << vector_batches_evaluated
-      << ", \"bitmap_probes\": " << bitmap_probes
-      << ", \"range_probes\": " << range_probes
-      << ", \"index_scans_avoided\": " << index_scans_avoided
-      << ", \"bitmap_maintenance_us\": " << bitmap_maintenance_us
-      << ", \"range_maintenance_us\": " << range_maintenance_us
-      << ", \"statements_prepared\": " << statements_prepared
-      << ", \"plan_cache_hits\": " << plan_cache_hits
-      << ", \"plan_cache_misses\": " << plan_cache_misses
-      << ", \"plan_cache_evictions\": " << plan_cache_evictions
-      << ", \"prepared_executions\": " << prepared_executions
-      << ", \"prepared_replans\": " << prepared_replans
-      << ", \"net_connections\": " << net_connections
-      << ", \"net_requests\": " << net_requests
-      << ", \"net_busy_rejections\": " << net_busy_rejections
-      << ", \"compactions_run\": " << compactions_run
-      << ", \"chain_links_rewritten\": " << chain_links_rewritten
-      << ", \"bytes_reclaimed\": " << bytes_reclaimed
-      << ", \"retired_pending\": " << retired_pending
-      << ", \"views_registered\": " << views_registered
-      << ", \"view_subscribers\": " << view_subscribers
-      << ", \"arrangements_shared\": " << arrangements_shared
-      << ", \"deltas_propagated\": " << deltas_propagated
-      << ", \"rows_maintained_incrementally\": "
-      << rows_maintained_incrementally
-      << ", \"views_recomputed\": " << views_recomputed << "}";
+  out << "{\"queue\": " << queue.ToJson() << ", \"exec\": " << exec.ToJson()
+      << ", \"total\": " << total.ToJson();
+  const CounterValues values = counters();
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    out << ", \"" << kCounterNames[i] << "\": " << values[i];
+  }
+  for (const auto& [name, value] : Gauges(*this)) {
+    out << ", \"" << name << "\": " << value;
+  }
+  out << "}";
   return out.str();
 }
 
 std::string ServiceStats::ToString() const {
   std::ostringstream out;
-  out << "queries: " << succeeded << "/" << submitted << " ok, " << rejected
-      << " rejected, " << cancelled << " cancelled, " << deadline_exceeded
-      << " past deadline, " << failed << " failed\n"
-      << "total latency: p50=" << total.p50_micros
+  out << "total latency: p50=" << total.p50_micros
       << "us p95=" << total.p95_micros << "us p99=" << total.p99_micros
-      << "us max=" << total.max_micros << "us (n=" << total.count << ")\n"
-      << "vectorized: " << rows_filtered_vectorized << " rows filtered, "
-      << vector_batches_evaluated << " batches\n"
-      << "secondary indexes: " << bitmap_probes << " bitmap probes, "
-      << range_probes << " range probes, " << index_scans_avoided
-      << " scans avoided, " << bitmap_maintenance_us << "us bitmap + "
-      << range_maintenance_us << "us range maintenance\n"
-      << "prepared: " << statements_prepared << " prepares ("
-      << plan_cache_hits << " cache hits, " << plan_cache_misses
-      << " misses, " << plan_cache_evictions << " evictions), "
-      << prepared_executions << " executions, " << prepared_replans
-      << " replans\n"
-      << "net: " << net_connections << " connections, " << net_requests
-      << " requests, " << net_busy_rejections << " busy rejections\n"
-      << "compaction: " << compactions_run << " runs, "
-      << chain_links_rewritten << " links rewritten, " << bytes_reclaimed
-      << " bytes reclaimed, " << retired_pending << " generations pending\n"
-      << "views: " << views_registered << " arrangements ("
-      << view_subscribers << " subscribers, " << arrangements_shared
-      << " shared), " << deltas_propagated << " deltas propagated, "
-      << rows_maintained_incrementally << " rows maintained, "
-      << views_recomputed << " recomputes";
+      << "us max=" << total.max_micros << "us (n=" << total.count << ")";
+  // The gauges, then the non-zero counters, as name=value wrapped at 80
+  // columns.
+  std::vector<std::pair<const char*, uint64_t>> items = Gauges(*this);
+  const CounterValues values = counters();
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    if (values[i] != 0) items.emplace_back(kCounterNames[i], values[i]);
+  }
+  size_t width = 80;
+  for (const auto& [name, value] : items) {
+    std::string item = std::string(name) + "=" + std::to_string(value);
+    if (width + item.size() + 1 > 80) {
+      out << "\n" << item;
+      width = item.size();
+    } else {
+      out << " " << item;
+      width += item.size() + 1;
+    }
+  }
   return out.str();
 }
 

@@ -58,60 +58,27 @@ struct ServiceConfig {
 };
 
 /// A point-in-time view of the service's counters and latency
-/// distributions.
+/// distributions. Every IDF_COUNTERS entry (engine, service and view
+/// counters, src/engine/metrics.h) is a field of the same name; they are
+/// totals over the service's lifetime or since ResetStats().
 struct ServiceStats {
-  uint64_t submitted = 0;
-  uint64_t succeeded = 0;
-  uint64_t rejected = 0;           ///< queue full (CapacityError)
-  uint64_t cancelled = 0;          ///< stopped by client Cancel()
-  uint64_t deadline_exceeded = 0;  ///< stopped by deadline
-  uint64_t failed = 0;             ///< any other error
+#define IDF_STATS_FIELD(Camel, snake) uint64_t snake = 0;
+  IDF_COUNTERS(IDF_STATS_FIELD)
+#undef IDF_STATS_FIELD
 
   LatencyHistogram::Summary queue;  ///< admission wait, completed queries
   LatencyHistogram::Summary exec;   ///< pin + plan + execute
   LatencyHistogram::Summary total;  ///< submission to completion
 
-  // Batch-at-a-time execution, accumulated over every completed or failed
-  // query (each query runs with private metrics; the service folds them in
-  // when the query finishes).
-  uint64_t rows_filtered_vectorized = 0;  ///< rows rejected by vector filter
-  uint64_t vector_batches_evaluated = 0;  ///< internal predicate batches
-
-  // Background compaction (zero unless EnableCompaction was called).
-  uint64_t compactions_run = 0;
-  uint64_t chain_links_rewritten = 0;
-  uint64_t bytes_reclaimed = 0;
-  uint64_t retired_pending = 0;  ///< generations waiting on pinned views
-
-  // Secondary indexes: probe counts folded in per query, scan work the
-  // probes skipped, and append-path maintenance time accumulated on the
-  // service executor.
-  uint64_t bitmap_probes = 0;          ///< bitmap-index probes executed
-  uint64_t range_probes = 0;           ///< range-index probes executed
-  uint64_t index_scans_avoided = 0;    ///< rows a probe skipped scanning
-  uint64_t bitmap_maintenance_us = 0;  ///< bitmap upkeep inside appends
-  uint64_t range_maintenance_us = 0;   ///< range upkeep inside appends
-
-  // Prepared statements and the parameterized plan cache.
-  uint64_t statements_prepared = 0;   ///< successful Prepare() calls
-  uint64_t plan_cache_hits = 0;       ///< Prepare served from the cache
-  uint64_t plan_cache_misses = 0;     ///< Prepare that built (or rebuilt) a plan
-  uint64_t plan_cache_evictions = 0;  ///< LRU evictions beyond capacity
-  uint64_t prepared_executions = 0;   ///< successful ExecutePrepared calls
-  uint64_t prepared_replans = 0;  ///< re-lowerings (epoch change or fallback)
-
-  // Network front end (zero unless a net::Server reports in).
-  uint64_t net_connections = 0;      ///< connections accepted
-  uint64_t net_requests = 0;         ///< protocol requests served
-  uint64_t net_busy_rejections = 0;  ///< requests answered with BUSY
-
-  // Incremental view maintenance (zero unless Subscribe was called).
+  // Gauges: live subsystem state, not counts of events.
+  uint64_t plan_cache_evictions = 0;  ///< LRU evictions since ResetStats()
+  uint64_t retired_pending = 0;   ///< generations waiting on pinned views
   uint64_t views_registered = 0;  ///< live maintained arrangements
   uint64_t view_subscribers = 0;  ///< live standing-query subscriptions
-  uint64_t arrangements_shared = 0;  ///< subscriptions that joined an existing arrangement
-  uint64_t deltas_propagated = 0;  ///< delta batches applied to views
-  uint64_t rows_maintained_incrementally = 0;  ///< delta rows folded into resident view state
-  uint64_t views_recomputed = 0;  ///< full recompute passes (fallback shapes)
+
+  /// The counter fields, indexed by Counter.
+  CounterValues counters() const;
+  void set_counters(const CounterValues& values);
 
   std::string ToJson() const;
   std::string ToString() const;
@@ -174,10 +141,10 @@ class QueryService {
   /// land on either side).
   void ResetStats();
 
-  /// Entry points for the network front end to report into Stats().
-  void NoteNetConnection() { net_connections_.fetch_add(1); }
-  void NoteNetRequest() { net_requests_.fetch_add(1); }
-  void NoteNetBusyRejection() { net_busy_rejections_.fetch_add(1); }
+  /// The service-wide counter block: appends, compactors and view
+  /// maintenance add to it directly, every finished query folds its
+  /// private metrics into it, and the network front end reports into it.
+  QueryMetrics& metrics() { return base_exec_->metrics(); }
 
   /// Starts one background Compactor per registered index (call after
   /// RegisterTable). Compactors share the service metrics and tag retired
@@ -240,17 +207,16 @@ class QueryService {
                              const CancellationTokenPtr& token,
                              QueryResult* result);
 
-  /// Folds a finished query's executor metrics into the service counters.
-  void FoldExecMetrics(ExecutorContext& exec);
-
   /// Per-query executor contexts are pooled: constructing one (config
   /// resolution, metrics block) costs about as much as executing a point
   /// lookup, so the hot prepared path recycles them instead. Acquire
   /// returns a context with clean metrics and no cancellation/parameters.
   Result<ExecutorContextPtr> AcquireExec();
-  /// Scrubs the context and returns it to the pool — unless something
-  /// (e.g. a memoized plan) still holds a reference, in which case it is
-  /// simply dropped.
+  /// Folds the query's metrics into the service block (on every outcome,
+  /// so Stats() counts cancelled and failed queries too), then scrubs the
+  /// context and returns it to the pool — unless something (e.g. a
+  /// memoized plan) still holds a reference, in which case it is simply
+  /// dropped.
   void ReleaseExec(ExecutorContextPtr exec);
 
   ServiceConfig config_;
@@ -269,17 +235,6 @@ class QueryService {
   mutable std::mutex exec_pool_mu_;  // guards exec_pool_
   std::vector<ExecutorContextPtr> exec_pool_;
 
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> succeeded_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> rows_filtered_vectorized_{0};
-  std::atomic<uint64_t> vector_batches_evaluated_{0};
-  std::atomic<uint64_t> bitmap_probes_{0};
-  std::atomic<uint64_t> range_probes_{0};
-  std::atomic<uint64_t> index_scans_avoided_{0};
   LatencyHistogram queue_hist_;
   LatencyHistogram exec_hist_;
   LatencyHistogram total_hist_;
@@ -292,15 +247,7 @@ class QueryService {
   mutable std::mutex handles_mu_;  // guards handles_
   std::unordered_map<uint64_t, PreparedStatementPtr> handles_;
   std::atomic<uint64_t> next_handle_{1};
-  std::atomic<uint64_t> statements_prepared_{0};
-  std::atomic<uint64_t> plan_cache_hits_{0};
-  std::atomic<uint64_t> plan_cache_misses_{0};
   std::atomic<uint64_t> eviction_baseline_{0};  // ResetStats() watermark
-  std::atomic<uint64_t> prepared_executions_{0};
-  std::atomic<uint64_t> prepared_replans_{0};
-  std::atomic<uint64_t> net_connections_{0};
-  std::atomic<uint64_t> net_requests_{0};
-  std::atomic<uint64_t> net_busy_rejections_{0};
 };
 
 using QueryServicePtr = std::shared_ptr<QueryService>;

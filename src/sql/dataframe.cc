@@ -138,17 +138,19 @@ Result<std::string> DataFrame::Explain() const {
 Result<std::string> DataFrame::ExplainAnalyze() const {
   if (!valid()) return Status::InvalidArgument("empty DataFrame handle");
   IDF_ASSIGN_OR_RETURN(std::string plans, Explain());
-  session_->metrics().Reset();
+  const CounterValues before = session_->metrics().Snapshot();
   auto t0 = std::chrono::steady_clock::now();
   IDF_ASSIGN_OR_RETURN(PartitionVec parts, session_->ExecutePartitions(plan_));
   double ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
+  CounterValues delta = session_->metrics().Snapshot();
+  for (size_t i = 0; i < kNumCounters; ++i) delta[i] -= before[i];
   char line[160];
   std::snprintf(line, sizeof(line),
                 "== Execution ==\nwall_time: %.3f ms\nresult_rows: %zu\n", ms,
                 TotalRows(parts));
-  return plans + line + session_->metrics().ToString() + "\n";
+  return plans + line + FormatCounters(delta) + "\n";
 }
 
 AggSpec CountStar(std::string out_name) {

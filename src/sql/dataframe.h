@@ -73,8 +73,9 @@ class DataFrame {
 
   /// Runs the query and reports the plans plus wall time, result
   /// cardinality, and the engine metrics the execution produced (shuffle
-  /// volume, index probes, ...). Resets the session's metrics for the
-  /// duration — not safe against concurrent queries on the same session.
+  /// volume, index probes, ...): the difference of the session's counters
+  /// across the run, which leaves them accumulating. Queries running
+  /// concurrently on the same session add into that difference.
   Result<std::string> ExplainAnalyze() const;
 
  private:

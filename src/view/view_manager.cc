@@ -204,7 +204,7 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
                                        spec.input.schema, *exec_));
       view->core_rows.reserve(view->core_rows.size() + sel.size());
       for (uint32_t i : sel) view->core_rows.push_back((*delta->rows)[i]);
-      rows_maintained_.fetch_add(sel.size(), std::memory_order_relaxed);
+      exec_->metrics().AddRowsMaintainedIncrementally(sel.size());
       return Status::OK();
     }
     case ViewKind::kAggregate: {
@@ -241,7 +241,7 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
           MergeStates(&resident[a], spec.aggs[a].fn, states[a]);
         }
       }
-      rows_maintained_.fetch_add(sel.size(), std::memory_order_relaxed);
+      exec_->metrics().AddRowsMaintainedIncrementally(sel.size());
       return Status::OK();
     }
     case ViewKind::kJoin: {
@@ -301,7 +301,7 @@ Status MaterializedViewManager::ApplyDelta(MaintainedView* view,
           }
         }
       }
-      rows_maintained_.fetch_add(emitted, std::memory_order_relaxed);
+      exec_->metrics().AddRowsMaintainedIncrementally(emitted);
       return Status::OK();
     }
     case ViewKind::kRecompute:
@@ -318,7 +318,7 @@ Status MaterializedViewManager::PublishLocked(
   RowVec out;
   if (spec.kind == ViewKind::kRecompute) {
     IDF_ASSIGN_OR_RETURN(out, RecomputeAgainst(spec.sql, cur));
-    views_recomputed_.fetch_add(1, std::memory_order_relaxed);
+    exec_->metrics().AddViewsRecomputed();
   } else {
     if (spec.kind == ViewKind::kAggregate) {
       out.reserve(view->groups.size());
@@ -403,25 +403,25 @@ void MaterializedViewManager::PropagateLocked(
         if (!st.ok()) {
           // Never fail the append path: degrade this arrangement to the
           // recompute fallback and keep serving.
-          maintenance_errors_.fetch_add(1, std::memory_order_relaxed);
+          exec_->metrics().AddMaintenanceErrors();
           view->spec.kind = ViewKind::kRecompute;
         }
       }
       touched = true;
-      deltas_propagated_.fetch_add(1, std::memory_order_relaxed);
+      exec_->metrics().AddDeltasPropagated();
     }
     view->applied_epoch = std::max(view->applied_epoch, cur.epoch);
     if (view->spec.kind == ViewKind::kJoin) view->prev_pin = cur;
     if (touched) {
       Status st = PublishLocked(view.get(), cur, callbacks);
       if (!st.ok() && view->spec.kind != ViewKind::kRecompute) {
-        maintenance_errors_.fetch_add(1, std::memory_order_relaxed);
+        exec_->metrics().AddMaintenanceErrors();
         view->spec.kind = ViewKind::kRecompute;
         st = PublishLocked(view.get(), cur, callbacks);
       }
       if (!st.ok()) {
         // Even recompute failed; keep the last good snapshot.
-        maintenance_errors_.fetch_add(1, std::memory_order_relaxed);
+        exec_->metrics().AddMaintenanceErrors();
       }
     }
   }
@@ -481,7 +481,10 @@ Result<RowVec> MaterializedViewManager::RecomputeAgainst(
     pins.insert(pins.end(), table.pins.begin(), table.pins.end());
   }
   IDF_ASSIGN_OR_RETURN(LogicalPlanPtr pinned, RebindSnapshots(df.plan(), pins));
-  return session->ExecuteCollect(pinned);
+  Result<RowVec> rows = session->ExecuteCollect(pinned);
+  // The recompute's engine work counts toward the service total.
+  exec->metrics().DrainInto(&exec_->metrics());
+  return rows;
 }
 
 Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
@@ -539,7 +542,7 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
     auto it = views_by_fingerprint_.find(spec.fingerprint);
     if (it != views_by_fingerprint_.end()) {
       view = it->second;
-      arrangements_shared_.fetch_add(1, std::memory_order_relaxed);
+      exec_->metrics().AddArrangementsShared();
     } else {
       // Bring existing views current and drain the queue, then register
       // BEFORE pinning: any commit after the registration point enqueues
@@ -634,14 +637,6 @@ ViewManagerStats MaterializedViewManager::Stats() const {
       stats.view_subscribers += view->subscriber_count;
     }
   }
-  stats.arrangements_shared =
-      arrangements_shared_.load(std::memory_order_relaxed);
-  stats.deltas_propagated = deltas_propagated_.load(std::memory_order_relaxed);
-  stats.rows_maintained_incrementally =
-      rows_maintained_.load(std::memory_order_relaxed);
-  stats.views_recomputed = views_recomputed_.load(std::memory_order_relaxed);
-  stats.maintenance_errors =
-      maintenance_errors_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -91,15 +91,12 @@ class ViewSubscription {
 };
 using ViewSubscriptionPtr = std::shared_ptr<ViewSubscription>;
 
-/// Counters exported through ServiceStats.
+/// Gauges exported through ServiceStats. The manager's event counters
+/// (arrangements_shared, deltas_propagated, ...) go to the metrics of the
+/// executor context it was built with, which is the service's own block.
 struct ViewManagerStats {
-  uint64_t views_registered = 0;    ///< live maintained arrangements
-  uint64_t view_subscribers = 0;    ///< live subscriptions
-  uint64_t arrangements_shared = 0; ///< subscriptions that joined an existing arrangement
-  uint64_t deltas_propagated = 0;   ///< delta batches applied to views
-  uint64_t rows_maintained_incrementally = 0;  ///< delta rows folded into resident state
-  uint64_t views_recomputed = 0;    ///< full recompute passes (fallback shape)
-  uint64_t maintenance_errors = 0;  ///< passes that degraded a view to recompute
+  uint64_t views_registered = 0;  ///< live maintained arrangements
+  uint64_t view_subscribers = 0;  ///< live subscriptions
 };
 
 class MaterializedViewManager final : public SnapshotManager::CommitSink {
@@ -202,12 +199,6 @@ class MaterializedViewManager final : public SnapshotManager::CommitSink {
   mutable std::mutex maintenance_mu_;
   std::unordered_map<std::string, std::shared_ptr<MaintainedView>>
       views_by_fingerprint_;
-
-  std::atomic<uint64_t> deltas_propagated_{0};
-  std::atomic<uint64_t> rows_maintained_{0};
-  std::atomic<uint64_t> arrangements_shared_{0};
-  std::atomic<uint64_t> views_recomputed_{0};
-  std::atomic<uint64_t> maintenance_errors_{0};
 };
 
 }  // namespace idf

@@ -162,6 +162,24 @@ TEST_F(IndexedDataFrameTest, GetRowsMultiApi) {
   EXPECT_EQ(session_->metrics().index_hits(), 2u);
 }
 
+TEST_F(IndexedDataFrameTest, ExplainAnalyzeReportsItsRunWithoutResetting) {
+  session_->metrics().Reset();
+  idf_->GetRowsMulti({Value(int64_t{1}), Value(int64_t{2})})
+      .Collect()
+      .ValueOrDie();
+  const uint64_t probes_before = session_->metrics().index_probes();
+  ASSERT_EQ(probes_before, 2u);
+
+  const std::string report =
+      idf_->GetRowsMulti({Value(int64_t{3}), Value(int64_t{4}),
+                          Value(int64_t{5})})
+          .ExplainAnalyze()
+          .ValueOrDie();
+  // The report shows this run's own probes; the session keeps accumulating.
+  EXPECT_NE(report.find("index_probes=3,"), std::string::npos) << report;
+  EXPECT_EQ(session_->metrics().index_probes(), probes_before + 3);
+}
+
 TEST_F(IndexedDataFrameTest, NonIndexedComparisonFusesIntoScanFilter) {
   // A single-column comparison that cannot use the index is executed as a
   // fused lazy-decoding scan-filter, not Filter-over-IndexedScan.

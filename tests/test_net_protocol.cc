@@ -1,7 +1,13 @@
 // Network front end: wire framing (round trips, torn reads, oversized
 // frames), value/schema serialization, loopback prepare/execute/query
 // against a live server, concurrent clients under a live append stream,
-// and CapacityError-to-BUSY backpressure mapping.
+// CapacityError-to-BUSY backpressure mapping, careless clients (reset
+// mid-reply, results over the frame limit), and the STATS export.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -49,6 +55,39 @@ QueryServicePtr MakeServiceWithTable(size_t n, ServiceConfig cfg = {}) {
                  .relation();
   EXPECT_TRUE(service->RegisterTable("people", rel).ok());
   return service;
+}
+
+/// A service with one table of `n` rows whose `blob` column holds
+/// `width`-byte strings (at most ~1000: rows are capped by
+/// max_row_bytes): `SELECT *` replies with about n * width bytes.
+QueryServicePtr MakeServiceWithBlobs(size_t n, size_t width) {
+  ServiceConfig cfg;
+  cfg.engine.num_threads = 2;
+  cfg.engine.num_partitions = 4;
+  auto service = QueryService::Make(cfg).ValueOrDie();
+  auto session = Session::Make(cfg.engine).ValueOrDie();
+  RowVec rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back({Value(static_cast<int64_t>(i)),
+                    Value(std::string(width, static_cast<char>('a' + i % 26)))});
+  }
+  auto schema = Schema::Make(
+      {{"id", TypeId::kInt64, false}, {"blob", TypeId::kString, false}});
+  auto df =
+      session->CreateDataFrame(schema, std::move(rows), "blobs").ValueOrDie();
+  auto rel =
+      IndexedDataFrame::CreateIndex(df, 0, "blobs_by_id").ValueOrDie().relation();
+  EXPECT_TRUE(service->RegisterTable("blobs", rel).ok());
+  return service;
+}
+
+/// The number after `"key": ` in a flat JSON object, or -1 when absent.
+int64_t JsonValue(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + needle.size()));
 }
 
 TEST(NetProtocolTest, FrameRoundTripSingleChunk) {
@@ -346,6 +385,80 @@ TEST(NetProtocolTest, PipelinedBusyRetriesRecover) {
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(verified.load(), 120u);
+}
+
+TEST(NetProtocolTest, StatsJsonCarriesEveryCounter) {
+  auto service = MakeServiceWithTable(100);
+  auto server = Server::Start(service, ServerConfig{}).ValueOrDie();
+  auto client = Client::Connect("127.0.0.1", server->port()).ValueOrDie();
+  PreparedReply prep =
+      client->Prepare("SELECT name FROM people WHERE id = ?").ValueOrDie();
+  ASSERT_EQ(client->Execute(prep.handle, {Value(int64_t{7})})->rows.size(), 1u);
+  ASSERT_TRUE(service->Append("people", MakeRows(100, 110)).ok());
+
+  const std::string json = client->Stats().ValueOrDie();
+  for (const char* name : {"index_probes", "index_hits", "rows_produced",
+                           "append_batches"}) {
+    EXPECT_GT(JsonValue(json, name), 0) << name << " in " << json;
+  }
+  for (const char* name : kCounterNames) {
+    EXPECT_GE(JsonValue(json, name), 0) << name << " missing from " << json;
+  }
+}
+
+TEST(NetProtocolTest, PeerResetMidReplyLeavesServerServing) {
+  constexpr size_t kRows = 4000;
+  auto service = MakeServiceWithBlobs(kRows, 1000);  // ~4 MB reply
+  auto server = Server::Start(service, ServerConfig{}).ValueOrDie();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  std::string query;
+  WireWriter w(&query);
+  w.PutString("SELECT * FROM blobs");
+  const std::string frame = EncodeFrame(Op::kQuery, query);
+
+  // Each client issues the query and goes away without reading, at a
+  // different point of the server's execute-then-write. A plain close
+  // that lands while the query runs leaves the server writing into a
+  // connection the peer then resets: a signalling write there would kill
+  // the whole process with SIGPIPE. Odd rounds reset outright instead
+  // (SO_LINGER {1, 0}).
+  for (int round = 0; round < 12; ++round) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    std::this_thread::sleep_for(std::chrono::microseconds(500 * (round + 1)));
+    if (round % 2 == 1) {
+      const linger reset{1, 0};
+      ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+                0);
+    }
+    close(fd);
+  }
+
+  auto client = Client::Connect("127.0.0.1", server->port()).ValueOrDie();
+  RowsReply r = client->Query("SELECT COUNT(*) FROM blobs").ValueOrDie();
+  EXPECT_EQ(r.rows[0][0].int64_value(), static_cast<int64_t>(kRows));
+}
+
+TEST(NetProtocolTest, ReplyOverFrameLimitIsAnErrorNotAPoisonedConnection) {
+  auto service = MakeServiceWithBlobs(18000, 1000);  // ~18 MB reply
+  auto server = Server::Start(service, ServerConfig{}).ValueOrDie();
+  auto client = Client::Connect("127.0.0.1", server->port()).ValueOrDie();
+  Result<RowsReply> big = client->Query("SELECT * FROM blobs");
+  ASSERT_FALSE(big.ok());
+  EXPECT_TRUE(big.status().IsInvalidArgument()) << big.status().ToString();
+  EXPECT_NE(big.status().message().find(std::to_string(kMaxFrameBytes)),
+            std::string::npos)
+      << big.status().ToString();
+  EXPECT_NE(big.status().message().find("bytes"), std::string::npos);
+  // The same connection keeps serving.
+  RowsReply r = client->Query("SELECT COUNT(*) FROM blobs").ValueOrDie();
+  EXPECT_EQ(r.rows[0][0].int64_value(), 18000);
 }
 
 }  // namespace

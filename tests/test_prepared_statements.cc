@@ -371,7 +371,37 @@ TEST(PreparedStatementsTest, ConcurrentExecutionsUnderAppendStream) {
 }
 
 TEST(PreparedStatementsTest, ResetStatsZeroesCountersAndHistograms) {
-  auto service = MakeServiceWithTable(100);
+  ServiceConfig cfg;
+  cfg.engine.num_threads = 2;
+  cfg.engine.num_partitions = 2;
+  cfg.engine.row_batch_bytes = 4 * 1024;  // many row batches per partition
+  auto service = QueryService::Make(cfg).ValueOrDie();
+  auto session = Session::Make(cfg.engine).ValueOrDie();
+  auto df = session->CreateDataFrame(TestSchema(), MakeRows(0, 100), "people")
+                .ValueOrDie();
+  auto rel =
+      IndexedDataFrame::CreateIndex(df, 0, "people_by_id").ValueOrDie().relation();
+  ASSERT_TRUE(rel->AddSecondaryIndex("grp", SecondaryIndexKind::kBitmap).ok());
+  ASSERT_TRUE(service->RegisterTable("people", rel).ok());
+  auto sub = service->Subscribe("SELECT COUNT(*) FROM people").ValueOrDie();
+
+  // Appends that revisit the same keys across many small row batches
+  // fragment every chain, so the background compactor has work.
+  CompactionConfig compaction;
+  compaction.max_mean_batch_span = 2.0;
+  compaction.min_partition_rows = 64;
+  compaction.interval = std::chrono::milliseconds(1);
+  compaction.partition_pacing = std::chrono::microseconds(0);
+  ASSERT_TRUE(service->EnableCompaction(compaction).ok());
+  for (int b = 0; b < 40; ++b) {
+    ASSERT_TRUE(service->Append("people", MakeRows(b % 20, b % 20 + 20)).ok());
+  }
+  for (int i = 0; i < 2000 && service->Stats().compactions_run == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // Stop the compactor so nothing counts behind the reset's back.
+  service->DisableCompaction();
+
   auto prep =
       service->Prepare("SELECT name FROM people WHERE id = ?").ValueOrDie();
   ASSERT_TRUE(service->ExecutePrepared(prep.handle, {Value(int64_t{1})}).ok());
@@ -380,25 +410,31 @@ TEST(PreparedStatementsTest, ResetStatsZeroesCountersAndHistograms) {
   ServiceStats before = service->Stats();
   EXPECT_GT(before.submitted, 0u);
   EXPECT_GT(before.statements_prepared, 0u);
+  EXPECT_GT(before.append_batches, 0u);
+  EXPECT_GT(before.compactions_run, 0u);
+  EXPECT_GT(before.chain_links_rewritten, 0u);
+  EXPECT_GT(before.deltas_propagated, 0u);
+  EXPECT_GT(before.index_probes, 0u);
   EXPECT_GT(before.total.count, 0u);
+  EXPECT_EQ(before.views_registered, 1u);
 
   service->ResetStats();
   ServiceStats after = service->Stats();
-  EXPECT_EQ(after.submitted, 0u);
-  EXPECT_EQ(after.succeeded, 0u);
-  EXPECT_EQ(after.failed, 0u);
-  EXPECT_EQ(after.statements_prepared, 0u);
-  EXPECT_EQ(after.plan_cache_hits, 0u);
-  EXPECT_EQ(after.plan_cache_misses, 0u);
+  const CounterValues values = after.counters();
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    EXPECT_EQ(values[i], 0u) << kCounterNames[i] << " survived ResetStats";
+  }
   EXPECT_EQ(after.plan_cache_evictions, 0u);
-  EXPECT_EQ(after.prepared_executions, 0u);
-  EXPECT_EQ(after.prepared_replans, 0u);
   EXPECT_EQ(after.total.count, 0u);
   EXPECT_EQ(after.exec.count, 0u);
+  // Gauges mirror live state and are untouched.
+  EXPECT_EQ(after.views_registered, before.views_registered);
+  EXPECT_EQ(after.retired_pending, before.retired_pending);
 
   // The service keeps working and counting after a reset.
   ASSERT_TRUE(service->ExecutePrepared(prep.handle, {Value(int64_t{2})}).ok());
   EXPECT_EQ(service->Stats().prepared_executions, 1u);
+  ASSERT_TRUE(service->Unsubscribe(sub).ok());
 }
 
 }  // namespace

@@ -163,6 +163,59 @@ TEST(QueryServiceTest, ConcurrentReadersAllSucceed) {
   EXPECT_NE(stats.ToString().find("p99="), std::string::npos);
 }
 
+/// The number after `"key": ` in a flat JSON object, or -1 when absent.
+int64_t JsonValue(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + needle.size()));
+}
+
+TEST(QueryServiceTest, EveryCounterReachesStatsAndJson) {
+  auto service = MakeServiceWithTable(100);
+  QueryResult r = service->Execute("SELECT name FROM people WHERE id = 7");
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  ASSERT_TRUE(service->Append("people", MakeRows(100, 110)).ok());
+
+  // Engine counters of the lookup and the append reach the service totals.
+  const ServiceStats stats = service->Stats();
+  EXPECT_GT(stats.index_probes, 0u);
+  EXPECT_GT(stats.index_hits, 0u);
+  EXPECT_GT(stats.rows_produced, 0u);
+  EXPECT_EQ(stats.append_batches, 1u);
+
+  const std::string json = stats.ToJson();
+  for (const char* name : {"index_probes", "index_hits", "rows_produced",
+                           "append_batches"}) {
+    EXPECT_GT(JsonValue(json, name), 0) << name << " in " << json;
+  }
+  const CounterValues values = stats.counters();
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    EXPECT_EQ(JsonValue(json, kCounterNames[i]),
+              static_cast<int64_t>(values[i]))
+        << kCounterNames[i] << " in " << json;
+  }
+  // Every key the export carried before the counter registry existed
+  // keeps its spelling.
+  for (const char* key :
+       {"submitted", "succeeded", "rejected", "cancelled",
+        "deadline_exceeded", "failed", "rows_filtered_vectorized",
+        "vector_batches_evaluated", "bitmap_probes", "range_probes",
+        "index_scans_avoided", "bitmap_maintenance_us", "range_maintenance_us",
+        "statements_prepared", "plan_cache_hits", "plan_cache_misses",
+        "plan_cache_evictions", "prepared_executions", "prepared_replans",
+        "net_connections", "net_requests", "net_busy_rejections",
+        "compactions_run", "chain_links_rewritten", "bytes_reclaimed",
+        "retired_pending", "views_registered", "view_subscribers",
+        "arrangements_shared", "deltas_propagated",
+        "rows_maintained_incrementally", "views_recomputed"}) {
+    EXPECT_GE(JsonValue(json, key), 0) << key << " missing from " << json;
+  }
+  for (const char* histogram : {"\"queue\": {", "\"exec\": {", "\"total\": {"}) {
+    EXPECT_NE(json.find(histogram), std::string::npos) << histogram;
+  }
+}
+
 TEST(QueryServiceTest, ValidatesConfig) {
   ServiceConfig cfg;
   cfg.max_inflight = 0;

@@ -361,7 +361,7 @@ TEST(MetricsTest, ResetClearsCounters) {
   EXPECT_EQ(m.shuffle_encoded_bytes(), 0u);
   EXPECT_EQ(m.decodes_avoided(), 0u);
   EXPECT_NE(m.ToString().find("shuffled_rows=0"), std::string::npos);
-  EXPECT_NE(m.ToString().find("morsels=0"), std::string::npos);
+  EXPECT_NE(m.ToString().find("morsels_dispatched=0"), std::string::npos);
 }
 
 }  // namespace
