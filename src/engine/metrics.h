@@ -29,6 +29,7 @@ namespace idf {
   X(IndexProbes, index_probes)                                                 \
   X(IndexHits, index_hits)                                                     \
   X(RowsScanned, rows_scanned)                                                 \
+  X(BlocksSkipped, blocks_skipped)                                             \
   X(RowsProduced, rows_produced)                                               \
   X(Morsels, morsels_dispatched)                                               \
   X(ShuffleEncodedBytes, shuffle_encoded_bytes)                                \

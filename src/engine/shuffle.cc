@@ -50,15 +50,15 @@ size_t EstimateRowBytes(const Row& row) {
   return bytes;
 }
 
-PartitionedRows SplitRoundRobin(const RowVec& rows, int num_partitions) {
-  PartitionedRows out(static_cast<size_t>(num_partitions));
+PartitionedRows SplitContiguous(const RowVec& rows, int num_partitions) {
   const size_t parts = static_cast<size_t>(num_partitions);
-  // Partition i receives exactly one extra row when i < rows % parts.
+  PartitionedRows out(parts);
+  size_t begin = 0;
   for (size_t i = 0; i < parts; ++i) {
-    out[i].reserve(rows.size() / parts + (i < rows.size() % parts ? 1 : 0));
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out[i % static_cast<size_t>(num_partitions)].push_back(rows[i]);
+    const size_t size = rows.size() / parts + (i < rows.size() % parts ? 1 : 0);
+    out[i].assign(rows.begin() + static_cast<std::ptrdiff_t>(begin),
+                  rows.begin() + static_cast<std::ptrdiff_t>(begin + size));
+    begin += size;
   }
   return out;
 }

@@ -1,5 +1,5 @@
 // Shuffle support: the binary exchange's encoded row buffers and the
-// round-robin placement of un-partitioned data. Exchange map tasks encode
+// contiguous placement of un-partitioned data. Exchange map tasks encode
 // each row once into per-destination buffers, reduce tasks concatenate
 // whole buffers, and operators decode lazily (per column) on the far side
 // (ShuffleEncodedByKeyExpr, sql/physical_operators.h). The data movement
@@ -61,8 +61,10 @@ class BinaryRows {
 /// One BinaryRows buffer per shuffle destination.
 using BinaryPartitions = std::vector<BinaryRows>;
 
-/// Splits a flat row vector into `num_partitions` round-robin chunks
-/// (initial placement of un-partitioned data).
-PartitionedRows SplitRoundRobin(const RowVec& rows, int num_partitions);
+/// Splits a flat row vector into `num_partitions` contiguous slices, in
+/// order (initial placement of un-partitioned data, like Spark's
+/// `parallelize`). Partition i holds one extra row when i < rows %
+/// num_partitions; concatenating the slices gives back `rows`.
+PartitionedRows SplitContiguous(const RowVec& rows, int num_partitions);
 
 }  // namespace idf

@@ -72,12 +72,16 @@ Result<std::vector<Value>> ResolveLookupKeys(const std::vector<Value>& keys,
 // ---------------------------------------------------------------------------
 // Morsel-driven execution helpers
 //
-// Operators flatten the rows of all partitions into one global index space
-// and let ThreadPool::ParallelForRange hand out ~MorselGrain-row chunks via
-// an atomic cursor. A skewed partition is then processed by many workers
-// instead of serializing the query on one partition-granular task. Chunk
-// outputs are tagged with their partition and reassembled in chunk order,
-// which preserves append order within every partition.
+// Scans read a snapshot block by block: each partition view offers its
+// sealed directory blocks (BlockDirectory::kBlockRows rows, with a zone
+// map) and then its open tail. The blocks of all partitions form one flat
+// index space and ThreadPool::ParallelForRange hands out runs of blocks
+// via an atomic cursor, so a skewed partition is processed by many workers
+// instead of serializing the query on one partition-granular task. Each
+// block walk starts at the block's recorded location; per-chunk outputs
+// are reassembled in chunk order, which preserves append order within
+// every partition. Other operators (joins, lookups) morsel over their
+// probe rows the same way.
 //
 // Every parallel region is given the context's cancellation token: a
 // cancelled or timed-out query drains its remaining morsels without running
@@ -85,34 +89,68 @@ Result<std::vector<Value>> ResolveLookupKeys(const std::vector<Value>& keys,
 // DeadlineExceeded instead of returning partial output.
 // ---------------------------------------------------------------------------
 
-/// Payload pointers of every row, per partition, plus cumulative row counts
-/// (`part_end[p]` = rows of partitions 0..p) defining the flat index space.
-struct FlatRaw {
-  std::vector<std::vector<const uint8_t*>> per_part;
-  std::vector<size_t> part_end;
-  size_t total = 0;
-};
+static_assert(BlockDirectory::kBlockRows == VectorizedPredicate::kBatchRows,
+              "a block filters as one vectorized batch");
 
-FlatRaw CollectRaw(ExecutorContext& ctx, const IndexedRelationSnapshot& snap) {
-  FlatRaw flat;
+/// First partition whose flat range contains index `i`.
+size_t PartitionOfIndex(const std::vector<size_t>& part_end, size_t i) {
+  return static_cast<size_t>(
+      std::upper_bound(part_end.begin(), part_end.end(), i) - part_end.begin());
+}
+
+/// The block scan driver. Calls `per_block(state, p, view, b, payloads)`
+/// for every block `b` of partition `p` that `prune` (when set) cannot rule
+/// out, where `state` belongs to the block's morsel (one task owns it, so
+/// it needs no locking) and `payloads` are the block's rows in append
+/// order. Returns the per-morsel states in morsel order. Rows of walked
+/// blocks count as scanned; pruned blocks count as skipped.
+template <typename State, typename PerBlock>
+Result<std::vector<State>> ScanBlocks(ExecutorContext& ctx,
+                                      const IndexedRelationSnapshot& snap,
+                                      const CompiledPredicate* prune,
+                                      const PerBlock& per_block) {
+  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());
-  flat.per_part.resize(num_parts);
-  ctx.pool().ParallelFor(
-      num_parts,
-      [&](size_t p) {
-        std::vector<const uint8_t*>& refs = flat.per_part[p];
-        refs.reserve(snap.view(static_cast<int>(p)).num_rows());
-        snap.view(static_cast<int>(p)).ScanRaw([&refs](const uint8_t* payload) {
-          refs.push_back(payload);
-        });
+  std::vector<size_t> part_end(num_parts);
+  size_t total = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    total += snap.view(static_cast<int>(p)).num_blocks();
+    part_end[p] = total;
+  }
+  const size_t grain = std::max<size_t>(
+      1, ctx.MorselGrain(snap.num_rows()) / BlockDirectory::kBlockRows);
+  std::vector<State> states(total == 0 ? 0 : (total + grain - 1) / grain);
+  const size_t dispatched = ctx.pool().ParallelForRange(
+      total, grain,
+      [&](size_t begin, size_t end) {
+        ctx.metrics().AddTask();
+        State& state = states[begin / grain];
+        std::vector<const uint8_t*> payloads;
+        payloads.reserve(BlockDirectory::kBlockRows);
+        uint64_t scanned = 0;
+        uint64_t skipped = 0;
+        size_t p = PartitionOfIndex(part_end, begin);
+        for (size_t i = begin; i < end; ++i) {
+          while (i >= part_end[p]) ++p;
+          const IndexedPartition::View& view = snap.view(static_cast<int>(p));
+          const uint64_t b = i - (p == 0 ? 0 : part_end[p - 1]);
+          if (prune != nullptr && view.BlockSealed(b) &&
+              !prune->MayMatch(view.ZoneMap(b))) {
+            ++skipped;
+            continue;
+          }
+          payloads.clear();
+          view.BlockPayloads(b, &payloads);
+          scanned += payloads.size();
+          per_block(state, p, view, b, payloads);
+        }
+        ctx.metrics().AddRowsScanned(scanned);
+        if (skipped > 0) ctx.metrics().AddBlocksSkipped(skipped);
       },
       ctx.cancellation());
-  flat.part_end.resize(num_parts);
-  for (size_t p = 0; p < num_parts; ++p) {
-    flat.total += flat.per_part[p].size();
-    flat.part_end[p] = flat.total;
-  }
-  return flat;
+  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
+  ctx.metrics().AddMorsels(dispatched);
+  return states;
 }
 
 /// Output of one morsel restricted to one partition.
@@ -158,12 +196,6 @@ bool ResidualPasses(const Expr* residual, const Row& row, Status* error) {
   return !v->is_null() && v->bool_value();
 }
 
-/// First partition whose flat range contains index `i`.
-size_t PartitionOfIndex(const std::vector<size_t>& part_end, size_t i) {
-  return static_cast<size_t>(
-      std::upper_bound(part_end.begin(), part_end.end(), i) - part_end.begin());
-}
-
 /// Reassembles per-chunk pieces into per-partition row vectors; chunk order
 /// preserves the original row order within each partition.
 PartitionVec AssemblePieces(ExecutorContext& ctx, size_t num_parts,
@@ -200,94 +232,36 @@ PartitionVec AssemblePieces(ExecutorContext& ctx, size_t num_parts,
   return out;
 }
 
-/// Morsel-driven scan driver for 1:1 row transforms (`per_row(payload)`
-/// returns the output row): every output position is known up front, so
-/// morsels write directly into the preallocated result — no per-chunk
-/// buffers, no reassembly.
+/// Block scan for 1:1 row transforms (`per_row(payload)` returns the output
+/// row): a block's rows have known output positions, so morsels write
+/// directly into the preallocated result — no per-chunk buffers, no
+/// reassembly.
 template <typename PerRow>
 Result<PartitionVec> MorselScanDense(ExecutorContext& ctx,
                                      const IndexedRelationSnapshot& snap,
                                      const PerRow& per_row) {
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
   const size_t num_parts = static_cast<size_t>(snap.num_partitions());
-  const size_t n = flat.total;
-  ctx.metrics().AddRowsScanned(n);
   std::vector<RowVec> rows(num_parts);
-  for (size_t p = 0; p < num_parts; ++p) rows[p].resize(flat.per_part[p].size());
-  size_t dispatched = ctx.pool().ParallelForRange(
-      n, ctx.MorselGrain(n),
-      [&](size_t begin, size_t end) {
-        ctx.metrics().AddTask();
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
-          RowVec& dst = rows[p];
-          for (; i < pend; ++i) dst[i - pstart] = per_row(flat.per_part[p][i - pstart]);
-          ++p;
-        }
-      },
-      ctx.cancellation());
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  ctx.metrics().AddMorsels(dispatched);
+  size_t n = 0;
+  for (size_t p = 0; p < num_parts; ++p) {
+    rows[p].resize(snap.view(static_cast<int>(p)).num_rows());
+    n += rows[p].size();
+  }
+  struct NoState {};
+  IDF_RETURN_NOT_OK(
+      ScanBlocks<NoState>(
+          ctx, snap, /*prune=*/nullptr,
+          [&](NoState&, size_t p, const IndexedPartition::View& view,
+              uint64_t b, const std::vector<const uint8_t*>& payloads) {
+            Row* dst = rows[p].data() + view.BlockFirstRow(b);
+            for (const uint8_t* payload : payloads) *dst++ = per_row(payload);
+          })
+          .status());
   ctx.metrics().AddRowsProduced(n);
   PartitionVec out;
   out.reserve(num_parts);
   for (RowVec& r : rows) out.push_back(PartitionData(std::move(r)));
   return out;
-}
-
-/// Morsel-driven scan driver for filtering transforms: runs
-/// `per_row(payload, &out_rows, &chunk_stats)` over every row, collecting
-/// per-chunk (partition, rows) pieces that are reassembled in chunk order.
-/// Chunk stats flush to the metrics once per chunk; the first residual
-/// error aborts the scan.
-template <typename PerRow>
-Result<PartitionVec> MorselScan(ExecutorContext& ctx,
-                                const IndexedRelationSnapshot& snap,
-                                const PerRow& per_row) {
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
-  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
-  const size_t n = flat.total;
-  ctx.metrics().AddRowsScanned(n);
-  const size_t grain = ctx.MorselGrain(n);
-  std::vector<std::vector<MorselPiece>> chunks(n == 0 ? 0 : (n + grain - 1) / grain);
-  Status first_error;
-  std::mutex error_mu;
-  size_t dispatched = ctx.pool().ParallelForRange(
-      n, grain,
-      [&](size_t begin, size_t end) {
-        ctx.metrics().AddTask();
-        std::vector<MorselPiece> pieces;
-        ChunkStats stats;
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
-          MorselPiece piece{p, {}};
-          piece.rows.reserve(pend - i);  // exact for scans, upper bound for filters
-          for (; i < pend; ++i) {
-            per_row(flat.per_part[p][i - pstart], &piece.rows, &stats);
-          }
-          if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-          ++p;
-        }
-        FlushChunkStats(ctx, stats);
-        if (!stats.error.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = stats.error;
-        }
-        chunks[begin / grain] = std::move(pieces);
-      },
-      ctx.cancellation());
-  IDF_RETURN_NOT_OK(first_error);
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  ctx.metrics().AddMorsels(dispatched);
-  return AssemblePieces(ctx, num_parts, chunks);
 }
 
 /// One aggregate's input in the fused scan-aggregate: a compiled accessor
@@ -365,70 +339,70 @@ void EmitFilteredRow(const uint8_t* payload, const Schema& schema,
   }
 }
 
-/// Batch-at-a-time scan-filter driver: per partition segment of a morsel
-/// the compiled program evaluates the whole payload span at once
-/// (sql/vectorized_eval.h) and only the selection-vector survivors
-/// materialize. Output and metrics are identical to running Matches
-/// row-at-a-time.
-Result<PartitionVec> VectorizedScanFilter(ExecutorContext& ctx,
-                                          const IndexedRelationSnapshot& snap,
-                                          const Schema& schema,
-                                          const CompiledPredicate& compiled,
-                                          const Expr* residual,
-                                          const std::vector<int>& project_cols) {
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
-  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
-  const size_t n = flat.total;
-  ctx.metrics().AddRowsScanned(n);
-  const size_t grain = ctx.MorselGrain(n);
-  std::vector<std::vector<MorselPiece>> chunks(n == 0 ? 0
-                                                      : (n + grain - 1) / grain);
-  Status first_error;
-  std::mutex error_mu;
-  const VectorizedPredicate vec(compiled);
-  size_t dispatched = ctx.pool().ParallelForRange(
-      n, grain,
-      [&](size_t begin, size_t end) {
-        ctx.metrics().AddTask();
-        std::vector<MorselPiece> pieces;
-        ChunkStats stats;
-        VectorScratch vs;
-        std::vector<uint32_t> sel(end - begin);
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
-          const uint8_t* const* payloads =
-              flat.per_part[p].data() + (i - pstart);
-          const size_t cnt = pend - i;
-          const size_t kept = vec.FilterBatch(payloads, cnt, sel.data(), &vs);
-          stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
-          stats.filtered_vectorized += cnt - kept;
-          stats.filtered_encoded += cnt - kept;
-          MorselPiece piece{p, {}};
-          piece.rows.reserve(kept);
-          for (size_t j = 0; j < kept; ++j) {
-            EmitFilteredRow(payloads[sel[j]], schema, residual, project_cols,
-                            &piece.rows, &stats);
-          }
-          if (!piece.rows.empty()) pieces.push_back(std::move(piece));
-          i = pend;
-          ++p;
-        }
-        FlushChunkStats(ctx, stats);
-        if (!stats.error.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = stats.error;
-        }
-        chunks[begin / grain] = std::move(pieces);
-      },
-      ctx.cancellation());
-  IDF_RETURN_NOT_OK(first_error);
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  ctx.metrics().AddMorsels(dispatched);
-  return AssemblePieces(ctx, num_parts, chunks);
+/// The chunk's output piece for partition `p`: blocks arrive in append
+/// order, so only the last piece can belong to `p` already.
+RowVec& PieceFor(std::vector<MorselPiece>* pieces, size_t p) {
+  if (pieces->empty() || pieces->back().partition != p) {
+    pieces->push_back(MorselPiece{p, {}});
+  }
+  return pieces->back().rows;
+}
+
+/// Per-morsel state of the filtering scans.
+struct FilterChunk {
+  std::vector<MorselPiece> pieces;
+  ChunkStats stats;
+  VectorScratch vs;
+  std::vector<uint32_t> sel;
+};
+
+/// Block-at-a-time scan-filter driver: the compiled program (when set)
+/// skips every block its zone map rules out, evaluates each remaining block
+/// at once (sql/vectorized_eval.h), and only the selection-vector survivors
+/// materialize. Without a compiled part every row goes to the residual.
+/// Output is identical to running Matches row-at-a-time over every row.
+Result<PartitionVec> ScanFilter(ExecutorContext& ctx,
+                                const IndexedRelationSnapshot& snap,
+                                const Schema& schema,
+                                const CompiledPredicate* compiled,
+                                const Expr* residual,
+                                const std::vector<int>& project_cols) {
+  std::optional<VectorizedPredicate> vec;
+  if (compiled != nullptr) vec.emplace(*compiled);
+  IDF_ASSIGN_OR_RETURN(
+      std::vector<FilterChunk> states,
+      ScanBlocks<FilterChunk>(
+          ctx, snap, compiled,
+          [&](FilterChunk& st, size_t p, const IndexedPartition::View&,
+              uint64_t, const std::vector<const uint8_t*>& payloads) {
+            const size_t cnt = payloads.size();
+            RowVec& out = PieceFor(&st.pieces, p);
+            if (!vec) {
+              for (const uint8_t* payload : payloads) {
+                EmitFilteredRow(payload, schema, residual, project_cols, &out,
+                                &st.stats);
+              }
+              return;
+            }
+            if (st.sel.size() < cnt) st.sel.resize(cnt);
+            const size_t kept =
+                vec->FilterBatch(payloads.data(), cnt, st.sel.data(), &st.vs);
+            st.stats.vector_batches += VectorizedPredicate::NumBatches(cnt);
+            st.stats.filtered_vectorized += cnt - kept;
+            st.stats.filtered_encoded += cnt - kept;
+            for (size_t j = 0; j < kept; ++j) {
+              EmitFilteredRow(payloads[st.sel[j]], schema, residual,
+                              project_cols, &out, &st.stats);
+            }
+          }));
+  std::vector<std::vector<MorselPiece>> chunks;
+  chunks.reserve(states.size());
+  for (FilterChunk& st : states) FlushChunkStats(ctx, st.stats);
+  for (FilterChunk& st : states) {
+    IDF_RETURN_NOT_OK(st.stats.error);
+    chunks.push_back(std::move(st.pieces));
+  }
+  return AssemblePieces(ctx, static_cast<size_t>(snap.num_partitions()), chunks);
 }
 
 /// Folds the selected lanes of one fused-aggregate input straight off the
@@ -675,18 +649,11 @@ Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
   const CompiledPredicate* compiled =
       filter.compiled ? &*filter.compiled : nullptr;
   const Expr* residual = filter.residual.get();
-  // Encoded-first: the compiled program evaluates batch-at-a-time on the
-  // payloads, so rows it rejects are never decoded. A filter with no
-  // compilable part runs its residual on every decoded row.
-  if (compiled != nullptr) {
-    return VectorizedScanFilter(ctx, snap, schema, *compiled, residual,
-                                project_cols_);
-  }
-  return MorselScan(ctx, snap,
-                    [this, &schema, residual](
-                        const uint8_t* payload, RowVec* out, ChunkStats* stats) {
-    EmitFilteredRow(payload, schema, residual, project_cols_, out, stats);
-  });
+  // Encoded-first: the compiled program prunes blocks and evaluates
+  // batch-at-a-time on the payloads, so rows it rejects are never decoded.
+  // A filter with no compilable part runs its residual on every decoded
+  // row.
+  return ScanFilter(ctx, snap, schema, compiled, residual, project_cols_);
 }
 
 std::string SecondaryIndexProbeOp::name() const {
@@ -841,118 +808,108 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
     }
   }
 
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  FlatRaw flat = CollectRaw(ctx, snap);
-  const size_t n = flat.total;
-  ctx.metrics().AddRowsScanned(n);
-  const size_t grain = ctx.MorselGrain(n);
-  const size_t num_chunks = n == 0 ? 0 : (n + grain - 1) / grain;
-  std::vector<GroupStateMap> chunk_maps(num_chunks);
-  Status first_error;
-  std::mutex error_mu;
-  const size_t dispatched = ctx.pool().ParallelForRange(
-      n, grain,
-      [&](size_t begin, size_t end) {
-        ctx.metrics().AddTask();
-        GroupStateMap& groups = chunk_maps[begin / grain];
-        ChunkStats stats;
-        uint64_t encoded_rows = 0;
-        VectorScratch vs;
-        // Selection vector of one batch; without a compiled filter it
-        // stays the identity (every lane survives).
-        std::vector<uint32_t> sel(VectorizedPredicate::kBatchRows);
-        std::iota(sel.begin(), sel.end(), 0u);
-        // Accumulates one row that passed the compiled filter.
-        auto accumulate_row = [&](const uint8_t* payload) {
-          Row decoded;
-          bool has_decoded = false;
-          if (residual) {
-            decoded = DecodeRow(payload, schema);
-            has_decoded = true;
-            if (!ResidualPasses(residual, decoded, &stats.error)) return;
-          }
-          Row key;
-          key.reserve(num_groups);
-          for (const CompiledAccessor& acc : key_acc) {
-            key.push_back(acc.GetValue(payload));
-          }
-          auto [it, inserted] = groups.try_emplace(std::move(key));
-          if (inserted) it->second.resize(num_aggs);
-          for (size_t a = 0; a < num_aggs; ++a) {
-            if (inputs[a].acc) {
-              UpdateStateFromPayload(&it->second[a], aggs_[a].fn,
-                                     *inputs[a].acc, payload);
-            } else if (inputs[a].expr != nullptr) {
-              if (!has_decoded) {
-                decoded = DecodeRow(payload, schema);
-                has_decoded = true;
-              }
-              auto v = inputs[a].expr->Eval(decoded);
-              if (!v.ok()) {
-                if (stats.error.ok()) stats.error = v.status();
-                continue;
-              }
-              UpdateState(&it->second[a], aggs_[a].fn,
-                          std::move(v).ValueUnsafe());
-            } else {
-              ++it->second[a].count;  // COUNT(*)
+  struct AggChunk {
+    GroupStateMap groups;
+    ChunkStats stats;
+    uint64_t encoded_rows = 0;
+    VectorScratch vs;
+    // Selection vector of one batch; without a compiled filter it stays
+    // the identity (every lane survives).
+    std::vector<uint32_t> sel;
+  };
+  // Accumulates one row that passed the compiled filter.
+  auto accumulate_row = [&](AggChunk& st, const uint8_t* payload) {
+    Row decoded;
+    bool has_decoded = false;
+    if (residual) {
+      decoded = DecodeRow(payload, schema);
+      has_decoded = true;
+      if (!ResidualPasses(residual, decoded, &st.stats.error)) return;
+    }
+    Row key;
+    key.reserve(num_groups);
+    for (const CompiledAccessor& acc : key_acc) {
+      key.push_back(acc.GetValue(payload));
+    }
+    auto [it, inserted] = st.groups.try_emplace(std::move(key));
+    if (inserted) it->second.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      if (inputs[a].acc) {
+        UpdateStateFromPayload(&it->second[a], aggs_[a].fn, *inputs[a].acc,
+                               payload);
+      } else if (inputs[a].expr != nullptr) {
+        if (!has_decoded) {
+          decoded = DecodeRow(payload, schema);
+          has_decoded = true;
+        }
+        auto v = inputs[a].expr->Eval(decoded);
+        if (!v.ok()) {
+          if (st.stats.error.ok()) st.stats.error = v.status();
+          continue;
+        }
+        UpdateState(&it->second[a], aggs_[a].fn, std::move(v).ValueUnsafe());
+      } else {
+        ++it->second[a].count;  // COUNT(*)
+      }
+    }
+    if (!has_decoded) ++st.encoded_rows;
+  };
+  IDF_ASSIGN_OR_RETURN(
+      std::vector<AggChunk> states,
+      ScanBlocks<AggChunk>(
+          ctx, snap, compiled,
+          [&](AggChunk& st, size_t, const IndexedPartition::View&, uint64_t,
+              const std::vector<const uint8_t*>& block) {
+            if (st.sel.empty()) {
+              st.sel.resize(VectorizedPredicate::kBatchRows);
+              std::iota(st.sel.begin(), st.sel.end(), 0u);
             }
-          }
-          if (!has_decoded) ++encoded_rows;
-        };
-        // One kBatchRows batch at a time: filter, then accumulate the
-        // survivors while their payloads are still cache-resident.
-        size_t i = begin;
-        size_t p = PartitionOfIndex(flat.part_end, begin);
-        while (i < end) {
-          const size_t pstart = p == 0 ? 0 : flat.part_end[p - 1];
-          const size_t pend = std::min(end, flat.part_end[p]);
-          for (; i < pend; i += VectorizedPredicate::kBatchRows) {
-            const uint8_t* const* payloads =
-                flat.per_part[p].data() + (i - pstart);
-            const size_t cnt =
-                std::min(pend - i, VectorizedPredicate::kBatchRows);
-            size_t kept = cnt;
-            if (vec) {
-              kept = vec->FilterBatch(payloads, cnt, sel.data(), &vs);
-              ++stats.vector_batches;
-              stats.filtered_vectorized += cnt - kept;
-              stats.filtered_encoded += cnt - kept;
-            }
-            if (kept == 0) continue;
-            if (ungrouped_fast) {
-              auto [it, inserted] = groups.try_emplace(Row{});
-              if (inserted) it->second.resize(num_aggs);
-              for (size_t a = 0; a < num_aggs; ++a) {
-                AccumulateSelectedLanes(&it->second[a], aggs_[a].fn,
-                                        inputs[a].acc, payloads, sel.data(),
-                                        kept);
+            // One kBatchRows batch at a time (only an open tail holds
+            // more): filter, then accumulate the survivors while their
+            // payloads are still cache-resident.
+            for (size_t i = 0; i < block.size();
+                 i += VectorizedPredicate::kBatchRows) {
+              const uint8_t* const* payloads = block.data() + i;
+              const size_t cnt =
+                  std::min(block.size() - i, VectorizedPredicate::kBatchRows);
+              size_t kept = cnt;
+              if (vec) {
+                kept = vec->FilterBatch(payloads, cnt, st.sel.data(), &st.vs);
+                ++st.stats.vector_batches;
+                st.stats.filtered_vectorized += cnt - kept;
+                st.stats.filtered_encoded += cnt - kept;
               }
-              encoded_rows += kept;
-            } else {
-              for (size_t j = 0; j < kept; ++j) {
-                accumulate_row(payloads[sel[j]]);
+              if (kept == 0) continue;
+              if (ungrouped_fast) {
+                auto [it, inserted] = st.groups.try_emplace(Row{});
+                if (inserted) it->second.resize(num_aggs);
+                for (size_t a = 0; a < num_aggs; ++a) {
+                  AccumulateSelectedLanes(&it->second[a], aggs_[a].fn,
+                                          inputs[a].acc, payloads,
+                                          st.sel.data(), kept);
+                }
+                st.encoded_rows += kept;
+              } else {
+                for (size_t j = 0; j < kept; ++j) {
+                  accumulate_row(st, payloads[st.sel[j]]);
+                }
               }
             }
-          }
-          i = pend;
-          ++p;
-        }
-        FlushChunkStats(ctx, stats);
-        if (encoded_rows > 0) {
-          ctx.metrics().AddRowsAggregatedEncoded(encoded_rows);
-          ctx.metrics().AddDecodesAvoided(encoded_rows);
-        }
-        if (!stats.error.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = stats.error;
-        }
-      },
-      ctx.cancellation());
-  ctx.metrics().AddMorsels(dispatched);
-  ctx.metrics().AddAggMorsels(dispatched);
-  IDF_RETURN_NOT_OK(first_error);
-  IDF_RETURN_NOT_OK(ctx.CheckCancelled());
+          }));
+  ctx.metrics().AddAggMorsels(states.size());
+  std::vector<GroupStateMap> chunk_maps;
+  chunk_maps.reserve(states.size());
+  for (AggChunk& st : states) {
+    FlushChunkStats(ctx, st.stats);
+    if (st.encoded_rows > 0) {
+      ctx.metrics().AddRowsAggregatedEncoded(st.encoded_rows);
+      ctx.metrics().AddDecodesAvoided(st.encoded_rows);
+    }
+  }
+  for (AggChunk& st : states) {
+    IDF_RETURN_NOT_OK(st.stats.error);
+    chunk_maps.push_back(std::move(st.groups));
+  }
   return MergePartialGroups(ctx, std::move(chunk_maps), num_groups, aggs_,
                             out_types);
 }

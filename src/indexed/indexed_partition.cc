@@ -138,8 +138,8 @@ IndexedPartition::IndexedPartition(SchemaPtr schema, int indexed_col,
       indexed_col_(indexed_col),
       batch_bytes_(config.row_batch_bytes),
       max_row_bytes_(config.max_row_bytes),
-      gen_(std::make_shared<PartitionGeneration>(config.row_batch_bytes,
-                                                 config.max_row_bytes)) {}
+      gen_(std::make_shared<PartitionGeneration>(
+          *schema_, config.row_batch_bytes, config.max_row_bytes)) {}
 
 Status IndexedPartition::Append(const Row& row) {
   // The appender holds the partition write lock, which also excludes
@@ -163,6 +163,8 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
   }
   IDF_ASSIGN_OR_RETURN(PackedPointer ptr,
                        g.store.AppendRow(*schema_, row, back_pointer, prev_size));
+  const uint8_t* payload = g.store.PayloadAt(ptr);
+  g.blocks.Add(payload, ptr, EncodedRowSize(payload, *schema_));
   if (!key.is_null()) {
     // Publish after the row bytes are committed: concurrent readers that see
     // this trie entry can safely dereference the pointer.
@@ -172,7 +174,7 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
   SecondaryIndexSetPtr sec =
       std::atomic_load_explicit(&g.secondary, std::memory_order_acquire);
   if (sec != nullptr) {
-    sec->StageRow(g.store.PayloadAt(ptr));
+    sec->StageRow(payload);
     sec->PublishCut(g.store.Watermark());
   }
   return Status::OK();
@@ -223,7 +225,7 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
       back = slot->head;
       prev_size = slot->head_size;
     }
-    auto ptr_res = g.store.AppendEncoded(row.payload, row.size, back, prev_size);
+    auto ptr_res = g.Append(row.payload, row.size, back, prev_size);
     if (!ptr_res.ok()) {
       error = ptr_res.status();
       break;
@@ -289,16 +291,8 @@ Status IndexedPartition::AddSecondaryIndexLocked(const SecondaryIndexSpec& spec)
   auto fresh = std::make_shared<SecondaryIndexSet>(schema_, std::move(specs));
   const StoreWatermark wm = g.store.Watermark();
   const Schema& schema = *schema_;
-  for (uint32_t b = 0; b < wm.num_batches; ++b) {
-    const RowBatch* batch = g.store.BatchAt(b);
-    const size_t limit =
-        (b + 1 == wm.num_batches) ? wm.last_batch_bytes : batch->committed_size();
-    uint32_t offset = 0;
-    while (offset + 8 < limit) {
-      fresh->StageRow(batch->payload_at(offset));
-      offset = batch->NextRowOffset(offset, schema);
-    }
-  }
+  g.ForEachRow(schema, {}, wm.num_rows,
+               [&](const uint8_t* payload) { fresh->StageRow(payload); });
   fresh->PublishCut(wm);
   std::atomic_store_explicit(&g.secondary, std::move(fresh),
                              std::memory_order_release);
@@ -318,16 +312,18 @@ IndexedPartition::View IndexedPartition::Snapshot() const {
   // old (frozen, still complete) generation. Order matters inside the
   // generation: the secondary cut and the trie snapshot are captured
   // BEFORE the watermark, so everything reachable from either (cut
-  // positions, trie pointers) is covered by the watermark — in particular
-  // cut.covered <= wm.num_rows, which ProbeSecondary relies on.
+  // positions, trie pointers, sealed blocks) is covered by the watermark —
+  // in particular cut.covered <= wm.num_rows, which ProbeSecondary relies
+  // on, and the sealed blocks never reach past it.
   PartitionGenerationPtr g = gen();
   SecondaryIndexSetPtr set =
       std::atomic_load_explicit(&g->secondary, std::memory_order_acquire);
   SecondaryIndexCutPtr cut = set != nullptr ? set->cut() : nullptr;
   CTrie trie = g->index.ReadOnlySnapshot();
+  const uint64_t sealed_blocks = g->blocks.sealed();
   StoreWatermark wm = g->store.Watermark();
   return View(schema_, indexed_col_, std::move(g), std::move(trie), wm,
-              std::move(cut));
+              std::move(cut), sealed_blocks);
 }
 
 ChainStatsSnapshot IndexedPartition::ChainStats() const {
@@ -348,7 +344,8 @@ ChainStatsSnapshot IndexedPartition::ChainStats() const {
 
 Status IndexedPartition::CompactLocked(CompactionResult* result) {
   PartitionGenerationPtr old_gen = gen_;
-  auto fresh = std::make_shared<PartitionGeneration>(batch_bytes_, max_row_bytes_);
+  auto fresh = std::make_shared<PartitionGeneration>(*schema_, batch_bytes_,
+                                                     max_row_bytes_);
   const Schema& schema = *schema_;
 
   // Collect every chain of the old generation: (hash, pointers newest
@@ -383,8 +380,8 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
     for (auto it = c.ptrs.rbegin(); it != c.ptrs.rend(); ++it) {
       const uint8_t* payload = old_gen->store.PayloadAt(*it);
       const uint32_t size = EncodedRowSize(payload, schema);
-      IDF_ASSIGN_OR_RETURN(PackedPointer ptr, fresh->store.AppendEncoded(
-                                                  payload, size, back, prev_size));
+      IDF_ASSIGN_OR_RETURN(PackedPointer ptr,
+                           fresh->Append(payload, size, back, prev_size));
       back = ptr;
       prev_size = size;
       RecordAppend(*fresh, c.hash, ptr);
@@ -398,23 +395,14 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   // over in append order by a forward scan of the old store.
   const StoreWatermark wm = old_gen->store.Watermark();
   const int col = indexed_col_;
-  for (uint32_t b = 0; b < wm.num_batches; ++b) {
-    const RowBatch* batch = old_gen->store.BatchAt(b);
-    const size_t limit =
-        (b + 1 == wm.num_batches) ? wm.last_batch_bytes : batch->committed_size();
-    uint32_t offset = 0;
-    while (offset + 8 < limit) {
-      const uint8_t* payload = batch->payload_at(offset);
-      if (RawColumnIsNull(payload, col)) {
-        const uint32_t size = EncodedRowSize(payload, schema);
-        IDF_RETURN_NOT_OK(fresh->store
-                              .AppendEncoded(payload, size, PackedPointer::Null(),
-                                             /*prev_size=*/0)
-                              .status());
-      }
-      offset = batch->NextRowOffset(offset, schema);
-    }
-  }
+  Status carried;
+  old_gen->ForEachRow(schema, {}, wm.num_rows, [&](const uint8_t* payload) {
+    if (!carried.ok() || !RawColumnIsNull(payload, col)) return;
+    carried = fresh->Append(payload, EncodedRowSize(payload, schema),
+                            PackedPointer::Null(), /*prev_size=*/0)
+                  .status();
+  });
+  IDF_RETURN_NOT_OK(carried);
 
   if (fresh->store.num_rows() != old_gen->store.num_rows()) {
     // Leave the live generation untouched; the partially built one dies.
@@ -433,16 +421,9 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   if (old_sec != nullptr) {
     auto fresh_sec = std::make_shared<SecondaryIndexSet>(schema_, old_sec->specs());
     const StoreWatermark fwm = fresh->store.Watermark();
-    for (uint32_t b = 0; b < fwm.num_batches; ++b) {
-      const RowBatch* batch = fresh->store.BatchAt(b);
-      const size_t limit = (b + 1 == fwm.num_batches) ? fwm.last_batch_bytes
-                                                      : batch->committed_size();
-      uint32_t offset = 0;
-      while (offset + 8 < limit) {
-        fresh_sec->StageRow(batch->payload_at(offset));
-        offset = batch->NextRowOffset(offset, schema);
-      }
-    }
+    fresh->ForEachRow(schema, {}, fwm.num_rows, [&](const uint8_t* payload) {
+      fresh_sec->StageRow(payload);
+    });
     fresh_sec->PublishCut(fwm);  // feeds the builders (sealed runs/segments)
     fresh_sec->MergeRuns();
     fresh_sec->PublishCut(fwm);  // republish with each range index merged
@@ -452,7 +433,8 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
 
   local.retired = old_gen;
   local.retired_bytes =
-      old_gen->store.allocated_bytes() + old_gen->index.MemoryBytesEstimate();
+      old_gen->store.allocated_bytes() + old_gen->index.MemoryBytesEstimate() +
+      old_gen->blocks.memory_bytes();
   // Publish the new generation. Readers that already grabbed the old one
   // keep a consistent (frozen) view; new snapshots see the rewrite.
   std::atomic_store_explicit(&gen_, std::move(fresh), std::memory_order_release);
@@ -502,41 +484,23 @@ void IndexedPartition::View::Scan(const std::function<void(const Row&)>& fn) con
 
 void IndexedPartition::View::ScanRaw(
     const std::function<void(const uint8_t*)>& fn) const {
-  const Schema& schema = *schema_;
-  for (uint32_t b = 0; b < watermark_.num_batches; ++b) {
-    const RowBatch* batch = gen_->store.BatchAt(b);
-    size_t limit = (b + 1 == watermark_.num_batches) ? watermark_.last_batch_bytes
-                                                     : batch->committed_size();
-    uint32_t offset = 0;
-    while (offset + 8 < limit) {
-      fn(batch->payload_at(offset));
-      offset = batch->NextRowOffset(offset, schema);
-    }
-  }
+  WalkRows(BlockDirectory::Location{}, watermark_.num_rows, fn);
 }
 
 void IndexedPartition::View::ScanRawFrom(
     const StoreWatermark& from,
     const std::function<void(const uint8_t*)>& fn) const {
-  const Schema& schema = *schema_;
-  const uint32_t first = from.num_batches == 0 ? 0 : from.num_batches - 1;
-  for (uint32_t b = first; b < watermark_.num_batches; ++b) {
-    const RowBatch* batch = gen_->store.BatchAt(b);
-    size_t limit = (b + 1 == watermark_.num_batches) ? watermark_.last_batch_bytes
-                                                     : batch->committed_size();
-    // A watermark's last_batch_bytes is the committed END of a row, which
-    // is not 8-byte aligned when the payload has a variable-width tail;
-    // row HEADERS are aligned (RowBatch::AppendEncoded), so the first
-    // suffix row starts at the next 8-byte boundary.
-    uint32_t offset =
-        (from.num_batches != 0 && b == from.num_batches - 1)
-            ? static_cast<uint32_t>((from.last_batch_bytes + 7) & ~size_t{7})
-            : 0;
-    while (offset + 8 < limit) {
-      fn(batch->payload_at(offset));
-      offset = batch->NextRowOffset(offset, schema);
-    }
+  // A watermark's last_batch_bytes is the committed END of a row, which is
+  // not 8-byte aligned when the payload has a variable-width tail; row
+  // HEADERS are aligned (RowBatch::AppendEncoded), so the first suffix row
+  // starts at the next 8-byte boundary.
+  BlockDirectory::Location start;
+  if (from.num_batches != 0) {
+    start = BlockDirectory::Location{
+        from.num_batches - 1,
+        static_cast<uint32_t>((from.last_batch_bytes + 7) & ~size_t{7})};
   }
+  WalkRows(start, watermark_.num_rows - from.num_rows, fn);
 }
 
 namespace {

@@ -37,6 +37,7 @@
 #include "ctrie/ctrie.h"
 #include "indexed/bitmap_index.h"
 #include "indexed/range_index.h"
+#include "storage/block_directory.h"
 #include "storage/row_batch_store.h"
 #include "types/row.h"
 #include "types/schema.h"
@@ -191,11 +192,49 @@ struct SecondaryProbeStats {
 /// swaps it in, after which the old generation is frozen and lives only as
 /// long as views referencing it.
 struct PartitionGeneration {
-  PartitionGeneration(size_t batch_bytes, size_t max_row_bytes)
-      : store(batch_bytes, max_row_bytes) {}
+  PartitionGeneration(const Schema& schema, size_t batch_bytes,
+                      size_t max_row_bytes)
+      : store(batch_bytes, max_row_bytes), blocks(schema) {}
   IDF_DISALLOW_COPY_AND_ASSIGN(PartitionGeneration);
 
+  /// Appends one encoded row to the store and registers it with the block
+  /// directory (appender/compactor only).
+  Result<PackedPointer> Append(const uint8_t* payload, uint32_t size,
+                               PackedPointer back_pointer, uint32_t prev_size) {
+    IDF_ASSIGN_OR_RETURN(PackedPointer ptr, store.AppendEncoded(payload, size,
+                                                                back_pointer,
+                                                                prev_size));
+    blocks.Add(store.PayloadAt(ptr), ptr, size);
+    return ptr;
+  }
+
+  /// Visits `count` consecutive committed rows from `start`, in append
+  /// order. Every visited row is committed, so a batch's committed bytes
+  /// bound its rows; an offset with no room for another row moves to the
+  /// next batch.
+  template <typename Fn>
+  void ForEachRow(const Schema& schema, BlockDirectory::Location start,
+                  size_t count, Fn&& fn) const {
+    if (count == 0) return;
+    uint32_t b = start.batch;
+    uint32_t offset = start.offset;
+    const RowBatch* batch = store.BatchAt(b);
+    size_t limit = batch->committed_size();
+    for (size_t i = 0; i < count; ++i) {
+      while (offset + 8 >= limit) {
+        batch = store.BatchAt(++b);
+        limit = batch->committed_size();
+        offset = 0;
+      }
+      fn(batch->payload_at(offset));
+      offset = batch->NextRowOffset(offset, schema);
+    }
+  }
+
   RowBatchStore store;
+  /// Block directory over `store`: one entry with a zone map per sealed
+  /// block of BlockDirectory::kBlockRows rows (scans walk and prune by it).
+  BlockDirectory blocks;
   // ReadOnlySnapshot() CASes the trie root (RDCSS) without changing the
   // logical contents; snapshots from const contexts are fine.
   mutable CTrie index;
@@ -369,6 +408,43 @@ class IndexedPartition {
     /// order; callers decode lazily (e.g. one filter column per row).
     void ScanRaw(const std::function<void(const uint8_t*)>& fn) const;
 
+    /// Blocks of this view, in append order: the sealed directory blocks
+    /// its snapshot captured, then — when rows follow them — the open tail
+    /// as one last block. Scans hand these out as morsels.
+    uint64_t num_blocks() const {
+      return sealed_blocks_ + (TailRows() > 0 ? 1 : 0);
+    }
+
+    /// True for a sealed block (it has a zone map); false for the tail.
+    bool BlockSealed(uint64_t b) const { return b < sealed_blocks_; }
+
+    /// Zone map of sealed block `b`.
+    BlockZoneMap ZoneMap(uint64_t b) const { return gen_->blocks.ZoneMap(b); }
+
+    /// Rows in block `b`: kBlockRows when sealed, any count for the tail.
+    size_t BlockRows(uint64_t b) const {
+      return BlockSealed(b) ? BlockDirectory::kBlockRows : TailRows();
+    }
+
+    /// Ordinal (within this partition, in append order) of block `b`'s
+    /// first row.
+    size_t BlockFirstRow(uint64_t b) const {
+      return static_cast<size_t>(b) * BlockDirectory::kBlockRows;
+    }
+
+    /// Appends the payloads of block `b` to `out`, in append order. The
+    /// walk starts at the block's recorded location.
+    void BlockPayloads(uint64_t b, std::vector<const uint8_t*>* out) const {
+      BlockDirectory::Location start;
+      if (BlockSealed(b)) {
+        start = gen_->blocks.entry(b).first;
+      } else if (sealed_blocks_ > 0) {
+        start = gen_->blocks.entry(sealed_blocks_ - 1).end;
+      }
+      WalkRows(start, BlockRows(b),
+               [out](const uint8_t* payload) { out->push_back(payload); });
+    }
+
     /// Visits the packed pointers of the chain for `key`, newest first
     /// (diagnostics and tests).
     void ScanChain(const Value& key,
@@ -412,13 +488,24 @@ class IndexedPartition {
    private:
     friend class IndexedPartition;
     View(SchemaPtr schema, int indexed_col, PartitionGenerationPtr gen,
-         CTrie trie, StoreWatermark wm, SecondaryIndexCutPtr secondary)
+         CTrie trie, StoreWatermark wm, SecondaryIndexCutPtr secondary,
+         uint64_t sealed_blocks)
         : schema_(std::move(schema)),
           indexed_col_(indexed_col),
           gen_(std::move(gen)),
           trie_(std::move(trie)),
           watermark_(wm),
-          secondary_(std::move(secondary)) {}
+          secondary_(std::move(secondary)),
+          sealed_blocks_(sealed_blocks) {}
+
+    size_t TailRows() const {
+      return watermark_.num_rows - BlockFirstRow(sealed_blocks_);
+    }
+
+    template <typename Fn>
+    void WalkRows(BlockDirectory::Location start, size_t count, Fn&& fn) const {
+      gen_->ForEachRow(*schema_, start, count, std::forward<Fn>(fn));
+    }
 
     bool InView(PackedPointer ptr) const;
 
@@ -433,6 +520,7 @@ class IndexedPartition {
     CTrie trie_;
     StoreWatermark watermark_;
     SecondaryIndexCutPtr secondary_;
+    uint64_t sealed_blocks_;  ///< directory blocks sealed at capture
   };
 
   /// Captures a consistent read view (O(1): generation pointer copy, cTrie
@@ -468,11 +556,15 @@ class IndexedPartition {
   size_t distinct_keys() const { return gen()->index.size_hint(); }
 
   /// Memory accounting for the paper's "low memory overhead" claim:
-  /// `index_bytes` is the live cTrie structure; `arena_bytes` additionally
-  /// includes retired nodes the arena holds until the snapshot family dies
-  /// (the cost of the leak-until-destruction reclamation strategy).
+  /// `index_bytes` is the live cTrie structure plus the block directory;
+  /// `arena_bytes` includes retired nodes the trie arena holds until the
+  /// snapshot family dies (the cost of the leak-until-destruction
+  /// reclamation strategy).
   size_t data_bytes() const { return gen()->store.used_bytes(); }
-  size_t index_bytes() const { return gen()->index.LiveMemoryBytes(); }
+  size_t index_bytes() const {
+    const PartitionGenerationPtr g = gen();
+    return g->index.LiveMemoryBytes() + g->blocks.memory_bytes();
+  }
   size_t arena_bytes() const { return gen()->index.MemoryBytesEstimate(); }
 
   /// The live generation's store. The reference is only stable while no

@@ -5,12 +5,6 @@
 
 namespace idf {
 
-size_t EncodedRowBatch::total_bytes() const {
-  size_t n = 0;
-  for (const auto& b : buffers) n += b.size();
-  return n;
-}
-
 Result<EncodedRowBatch> EncodeRowBatch(ExecutorContext& ctx, const Schema& schema,
                                        const RowVec& rows) {
   EncodedRowBatch out;
@@ -159,8 +153,6 @@ Status IndexedRelation::AppendEncoded(ExecutorContext& ctx, const RowVec& rows,
     }
     routed[static_cast<size_t>(target)].push_back(ref);
   }
-  ctx.metrics().AddShuffledRows(rows.size());
-  ctx.metrics().AddShuffledBytes(enc.total_bytes());
 
   // Reduce side: apply each partition's group under ONE write-lock
   // acquisition (lock acquisitions per batch == partitions touched).
@@ -168,8 +160,9 @@ Status IndexedRelation::AppendEncoded(ExecutorContext& ctx, const RowVec& rows,
   std::atomic<size_t> appended{0};
   std::atomic<uint64_t> bitmap_us{0};
   std::atomic<uint64_t> range_us{0};
+  // Routing is ingest, not query work: appends count append_batches and
+  // append_partition_locks, never the shuffle or task counters.
   ctx.pool().ParallelFor(static_cast<size_t>(num_parts), [&](size_t p) {
-    ctx.metrics().AddTask();
     if (routed[p].empty()) return;
     IndexedPartition::AppendBatchResult result;
     {

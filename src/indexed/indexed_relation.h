@@ -48,7 +48,6 @@ struct EncodedRowBatch {
     return buffers[s.buffer].data() + s.offset;
   }
   uint32_t size(size_t i) const { return spans[i].size; }
-  size_t total_bytes() const;
 };
 
 /// Validates and encodes `rows` against `schema`. Batches past

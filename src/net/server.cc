@@ -194,7 +194,10 @@ struct Server::Impl {
 
   void UpdateInterest(IoLoop* loop, Connection& conn) {
     epoll_event ev{};
-    ev.events = EPOLLIN | (conn.want_write() ? EPOLLOUT : 0u);
+    // A connection closing after its flush reads nothing more (a peer at
+    // EOF would otherwise wake the loop on every pass).
+    ev.events = (conn.close_after_flush ? 0u : EPOLLIN) |
+                (conn.want_write() ? EPOLLOUT : 0u);
     ev.data.fd = conn.fd;
     epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   }
@@ -386,7 +389,13 @@ struct Server::Impl {
     char buf[64 * 1024];
     for (;;) {
       const ssize_t n = read(conn.fd, buf, sizeof(buf));
-      if (n == 0) return false;  // peer closed
+      if (n == 0) {
+        // Peer closed its sending side (possibly only half-closed with
+        // shutdown(SHUT_WR)): answer the frames it already sent, then
+        // close once the replies drain.
+        conn.close_after_flush = true;
+        break;
+      }
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         if (errno == EINTR) continue;

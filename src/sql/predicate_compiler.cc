@@ -64,6 +64,61 @@ void CollectAndConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
   out->push_back(expr);
 }
 
+// Outcome sets of MayMatch: bit v is set when TriBool value v is possible.
+constexpr uint8_t kCanF = 1 << kF;
+constexpr uint8_t kCanN = 1 << kN;
+constexpr uint8_t kCanT = 1 << kT;
+constexpr uint8_t kCanAny = kCanF | kCanN | kCanT;
+
+/// Outcomes of `v <op> c` over every v in [lo, hi] (lo <= hi), phrased
+/// with the same == and < as CmpWith so NaN immediates stay sound.
+template <typename T>
+uint8_t RangeOutcomes(CompareOp op, T lo, T hi, T c) {
+  bool can_t = true;
+  bool can_f = true;
+  switch (op) {
+    case CompareOp::kEq:
+      can_t = !(c < lo) && !(hi < c);
+      can_f = !(lo == c && hi == c);
+      break;
+    case CompareOp::kNe:
+      can_t = !(lo == c && hi == c);
+      can_f = !(c < lo) && !(hi < c);
+      break;
+    case CompareOp::kLt:
+      can_t = lo < c;
+      can_f = !(hi < c);
+      break;
+    case CompareOp::kLe:
+      can_t = !(c < lo);
+      can_f = c < hi;
+      break;
+    case CompareOp::kGt:
+      can_t = c < hi;
+      can_f = !(c < lo);
+      break;
+    case CompareOp::kGe:
+      can_t = !(hi < c);
+      can_f = lo < c;
+      break;
+  }
+  return static_cast<uint8_t>((can_t ? kCanT : 0) | (can_f ? kCanF : 0));
+}
+
+/// Applies a Kleene combinator (min for AND, max for OR) to every pair of
+/// possible operand values.
+template <typename Op>
+uint8_t CombineOutcomes(uint8_t a, uint8_t b, Op op) {
+  uint8_t out = 0;
+  for (uint8_t x = kF; x <= kT; ++x) {
+    if (!(a & (1 << x))) continue;
+    for (uint8_t y = kF; y <= kT; ++y) {
+      if (b & (1 << y)) out = static_cast<uint8_t>(out | (1 << op(x, y)));
+    }
+  }
+  return out;
+}
+
 ExprPtr ConjoinConjuncts(const std::vector<ExprPtr>& conjuncts) {
   ExprPtr acc = conjuncts[0];
   for (size_t i = 1; i < conjuncts.size(); ++i) acc = And(acc, conjuncts[i]);
@@ -136,6 +191,7 @@ class PredicateCompiler {
   CompiledPredicate::Inst ColumnInst(int col) const {
     const CompiledAccessor acc = CompiledAccessor::ForColumn(schema_, col);
     CompiledPredicate::Inst inst{};
+    inst.col = col;
     inst.slot_off = acc.slot_offset();
     inst.null_byte = acc.null_byte();
     inst.null_mask = acc.null_mask();
@@ -363,6 +419,80 @@ TriBool CompiledPredicate::EvalEncoded(const uint8_t* payload) const {
     }
   }
   return static_cast<TriBool>(stack[0]);
+}
+
+bool CompiledPredicate::MayMatch(const BlockZoneMap& zone) const {
+  if (has_params_) return true;
+  uint8_t stack[kMaxStack];
+  size_t sp = 0;
+  for (const Inst& inst : insts_) {
+    switch (inst.op) {
+      case OpCode::kConst:
+        stack[sp++] = static_cast<uint8_t>(1 << inst.imm_tri);
+        continue;
+      case OpCode::kAnd: {
+        const uint8_t b = stack[--sp];
+        stack[sp - 1] = CombineOutcomes(stack[sp - 1], b, [](uint8_t x, uint8_t y) {
+          return x < y ? x : y;
+        });
+        continue;
+      }
+      case OpCode::kOr: {
+        const uint8_t b = stack[--sp];
+        stack[sp - 1] = CombineOutcomes(stack[sp - 1], b, [](uint8_t x, uint8_t y) {
+          return x > y ? x : y;
+        });
+        continue;
+      }
+      case OpCode::kNot: {
+        const uint8_t a = stack[sp - 1];
+        stack[sp - 1] = static_cast<uint8_t>((a & kCanN) | (a & kCanT ? kCanF : 0) |
+                                             (a & kCanF ? kCanT : 0));
+        continue;
+      }
+      default:
+        break;
+    }
+    // Column instructions: bound by the block's range of that column.
+    const ColumnRange* range = zone.Range(inst.col);
+    if (range == nullptr) {
+      stack[sp++] = kCanAny;
+      continue;
+    }
+    const bool saw_null = zone.SawNull(inst.col);
+    if (inst.op == OpCode::kIsNull) {
+      // imm_tri = 1 is IS NOT NULL: TRUE on values, FALSE on nulls.
+      const bool negated = inst.imm_tri != 0;
+      uint8_t out = 0;
+      if (saw_null) out |= negated ? kCanF : kCanT;
+      if (range->has_value()) out |= negated ? kCanT : kCanF;
+      stack[sp++] = out;
+      continue;
+    }
+    uint8_t out = saw_null ? kCanN : 0;
+    if (range->has_value()) {
+      switch (inst.op) {
+        case OpCode::kBoolCol:
+          out |= RangeOutcomes<int64_t>(CompareOp::kNe, range->min, range->max, 0);
+          break;
+        case OpCode::kCmpInt64:
+        case OpCode::kCmpInt32:
+          out |= RangeOutcomes(inst.cmp, range->min, range->max, inst.imm_i64);
+          break;
+        case OpCode::kCmpIntAsDouble:
+          // int64 -> double is monotone, so the widened values stay
+          // inside the widened bounds.
+          out |= RangeOutcomes(inst.cmp, static_cast<double>(range->min),
+                               static_cast<double>(range->max), inst.imm_f64);
+          break;
+        default:
+          out = kCanAny;
+          break;
+      }
+    }
+    stack[sp++] = out;
+  }
+  return (stack[0] & kCanT) != 0;
 }
 
 Result<CompiledPredicate> CompiledPredicate::BindParams(

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sql/expression.h"
+#include "storage/block_directory.h"
 #include "types/schema.h"
 
 namespace idf {
@@ -63,6 +64,15 @@ class CompiledPredicate {
     return EvalEncoded(payload) == TriBool::kTrue;
   }
 
+  /// Block pruning: false only when no row of a block with zone map `zone`
+  /// can make the predicate TRUE, so the block may be skipped. Runs the
+  /// same program over intervals — each instruction yields the set of
+  /// TriBool values it can take on the block's rows, and AND/OR/NOT
+  /// combine those sets with Kleene logic; an instruction the zone map
+  /// cannot bound (float/string columns) yields every value. A program
+  /// with unbound parameter slots never prunes.
+  bool MayMatch(const BlockZoneMap& zone) const;
+
   size_t num_instructions() const { return insts_.size(); }
 
  private:
@@ -96,6 +106,7 @@ class CompiledPredicate {
     int64_t imm_i64 = 0;
     double imm_f64 = 0;
     uint32_t imm_str = 0;  // index into strings_
+    int32_t col = -1;      // column read by column instructions (MayMatch)
   };
 
   static constexpr size_t kMaxStack = 64;

@@ -48,7 +48,7 @@ Result<DataFrame> Session::CreateDataFrame(SchemaPtr schema, RowVec rows,
   table->name = name;
   table->schema = std::move(schema);
   for (const Row& row : rows) table->approx_bytes += EstimateRowBytes(row);
-  table->partitions = SplitRoundRobin(rows, exec_->num_partitions());
+  table->partitions = SplitContiguous(rows, exec_->num_partitions());
   return DataFrame(shared_from_this(), std::make_shared<ScanNode>(std::move(table)));
 }
 

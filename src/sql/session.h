@@ -45,7 +45,9 @@ class Session : public std::enable_shared_from_this<Session> {
   void MarkExtension(const std::string& tag);
 
   /// Creates a DataFrame over in-memory rows (validates against schema).
-  /// The data is round-robin partitioned into config().num_partitions.
+  /// The data is split into config().num_partitions contiguous slices in
+  /// insertion order (Spark's `parallelize`), so an index built from it
+  /// keeps each partition's rows in insertion order.
   Result<DataFrame> CreateDataFrame(SchemaPtr schema, RowVec rows,
                                     const std::string& name = "table");
 

@@ -1,22 +1,38 @@
 #include "storage/row_batch_store.h"
 
+#include <sys/mman.h>
+
+#include <new>
+
 namespace idf {
+
+namespace {
+
+RowBatch** MapZeroedSlots(size_t bytes) {
+  void* mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<RowBatch**>(mem);
+}
+
+}  // namespace
+
+void RowBatchStore::UnmapSlots::operator()(RowBatch** p) const {
+  munmap(p, bytes);
+}
 
 RowBatchStore::RowBatchStore(size_t batch_bytes, size_t max_row_bytes,
                              size_t max_batches)
     : batch_bytes_(batch_bytes),
       max_row_bytes_(max_row_bytes),
       max_batches_(max_batches),
-      slots_(new std::atomic<RowBatch*>[max_batches]) {
-  for (size_t i = 0; i < max_batches_; ++i) {
-    slots_[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
+      slots_(MapZeroedSlots(max_batches * sizeof(RowBatch*)),
+             UnmapSlots{max_batches * sizeof(RowBatch*)}) {}
 
 RowBatchStore::~RowBatchStore() {
   size_t n = num_batches_.load(std::memory_order_acquire);
   for (size_t i = 0; i < n; ++i) {
-    delete slots_[i].load(std::memory_order_relaxed);
+    delete slots_[i];
   }
 }
 
@@ -37,7 +53,7 @@ Result<PackedPointer> RowBatchStore::AppendEncoded(const uint8_t* payload, size_
                                                    PackedPointer back_pointer,
                                                    uint32_t prev_size) {
   size_t n = num_batches_.load(std::memory_order_relaxed);
-  RowBatch* current = n == 0 ? nullptr : slots_[n - 1].load(std::memory_order_relaxed);
+  RowBatch* current = n == 0 ? nullptr : slots_[n - 1];
   if (current == nullptr || current->remaining() < len + 16) {
     if (n >= max_batches_) {
       return Status::CapacityError(
@@ -45,7 +61,7 @@ Result<PackedPointer> RowBatchStore::AppendEncoded(const uint8_t* payload, size_
           " batches); raise max_batches");
     }
     current = new RowBatch(batch_bytes_);
-    slots_[n].store(current, std::memory_order_release);
+    Slot(n).store(current, std::memory_order_release);
     num_batches_.store(n + 1, std::memory_order_release);
     n = n + 1;
   }
@@ -68,7 +84,7 @@ StoreWatermark RowBatchStore::Watermark() const {
   wm.num_batches = static_cast<uint32_t>(num_batches_.load(std::memory_order_acquire));
   if (wm.num_batches > 0) {
     wm.last_batch_bytes =
-        slots_[wm.num_batches - 1].load(std::memory_order_acquire)->committed_size();
+        Slot(wm.num_batches - 1).load(std::memory_order_acquire)->committed_size();
   }
   return wm;
 }

@@ -65,7 +65,7 @@ class RowBatchStore {
 
   /// Batch pointer (thread-safe for indexes below the watermark).
   const RowBatch* BatchAt(uint32_t i) const {
-    return slots_[i].load(std::memory_order_acquire);
+    return Slot(i).load(std::memory_order_acquire);
   }
 
   /// Captures the current consistent prefix. Thread-safe.
@@ -89,7 +89,18 @@ class RowBatchStore {
   size_t max_batches_;
   std::atomic<size_t> num_batches_{0};
   std::atomic<size_t> num_rows_{0};
-  std::unique_ptr<std::atomic<RowBatch*>[]> slots_;
+  struct UnmapSlots {
+    size_t bytes;
+    void operator()(RowBatch** p) const;
+  };
+  std::atomic_ref<RowBatch*> Slot(size_t i) const {
+    return std::atomic_ref<RowBatch*>(slots_[i]);
+  }
+  // The batch directory is an anonymous mapping: the kernel supplies its
+  // zero pages on first touch, so the preallocated slots (512 KiB at the
+  // default max_batches) cost no resident memory until batches fill them.
+  // Slots are accessed atomically via Slot().
+  std::unique_ptr<RowBatch*[], UnmapSlots> slots_;
   std::vector<uint8_t> scratch_;
 };
 

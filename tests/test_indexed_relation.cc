@@ -177,6 +177,21 @@ TEST(IndexedRelationTest, BatchedAppendLocksEachTouchedPartitionOnce) {
   EXPECT_EQ(ctx->metrics().append_batches(), 1u);
 }
 
+TEST(IndexedRelationTest, AppendsLeaveShuffleAndTaskCountersAlone) {
+  // Routing an append batch to its partitions is ingest, reported by the
+  // append counters; the shuffle and task counters stay the queries' own.
+  auto ctx = MakeCtx(4);
+  auto rel = IndexedRelation::Build(*ctx, "t", KvSchema(), 0, {}).ValueOrDie();
+  ctx->metrics().Reset();
+  ASSERT_TRUE(rel->AppendRows(*ctx, KvRows(20)).ok());
+  ASSERT_TRUE(rel->AppendRows(*ctx, KvRows(5000, 97)).ok());
+  EXPECT_EQ(ctx->metrics().append_batches(), 2u);
+  EXPECT_GT(ctx->metrics().append_partition_locks(), 0u);
+  EXPECT_EQ(ctx->metrics().shuffled_rows(), 0u);
+  EXPECT_EQ(ctx->metrics().shuffled_bytes(), 0u);
+  EXPECT_EQ(ctx->metrics().tasks_run(), 0u);
+}
+
 TEST(IndexedRelationTest, BatchedAndPerRowAppendsAreEquivalent) {
   auto ctx = MakeCtx();
   RowVec rows = KvRows(600, 17);

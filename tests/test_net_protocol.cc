@@ -2,7 +2,8 @@
 // frames), value/schema serialization, loopback prepare/execute/query
 // against a live server, concurrent clients under a live append stream,
 // CapacityError-to-BUSY backpressure mapping, careless clients (reset
-// mid-reply, results over the frame limit), and the STATS export.
+// mid-reply, half-closed sockets, results over the frame limit), and the
+// STATS export.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -443,6 +444,52 @@ TEST(NetProtocolTest, PeerResetMidReplyLeavesServerServing) {
   auto client = Client::Connect("127.0.0.1", server->port()).ValueOrDie();
   RowsReply r = client->Query("SELECT COUNT(*) FROM blobs").ValueOrDie();
   EXPECT_EQ(r.rows[0][0].int64_value(), static_cast<int64_t>(kRows));
+}
+
+TEST(NetProtocolTest, HalfClosedPeerStillGetsItsReplies) {
+  // A client may send its requests and shutdown(SHUT_WR) before reading:
+  // the server must answer every frame it received, then close. The
+  // second query's ~2 MB reply outgrows one socket write, so it also
+  // drains across several writable events after the peer's EOF.
+  auto service = MakeServiceWithBlobs(2000, 1000);
+  auto server = Server::Start(service, ServerConfig{}).ValueOrDie();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::string frames;
+  for (const char* sql : {"SELECT COUNT(*) FROM blobs", "SELECT * FROM blobs"}) {
+    std::string query;
+    WireWriter w(&query);
+    w.PutString(sql);
+    frames += EncodeFrame(Op::kQuery, query);
+  }
+  ASSERT_EQ(send(fd, frames.data(), frames.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frames.size()));
+  ASSERT_EQ(shutdown(fd, SHUT_WR), 0);
+
+  // Read to EOF: the server closes once both replies are written.
+  FrameDecoder decoder;
+  char buf[64 * 1024];
+  for (;;) {
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n == 0) break;
+    ASSERT_GT(n, 0) << "read failed";
+    ASSERT_TRUE(decoder.Feed(buf, static_cast<size_t>(n)).ok());
+  }
+  close(fd);
+  Frame frame;
+  ASSERT_TRUE(decoder.Next(&frame));
+  ASSERT_EQ(frame.op, Op::kOkRows);
+  RowsReply count = DecodeOkRows(frame.payload).ValueOrDie();
+  EXPECT_EQ(count.rows[0][0].int64_value(), 2000);
+  ASSERT_TRUE(decoder.Next(&frame));
+  ASSERT_EQ(frame.op, Op::kOkRows);
+  EXPECT_EQ(DecodeOkRows(frame.payload).ValueOrDie().rows.size(), 2000u);
+  EXPECT_FALSE(decoder.Next(&frame));
 }
 
 TEST(NetProtocolTest, ReplyOverFrameLimitIsAnErrorNotAPoisonedConnection) {

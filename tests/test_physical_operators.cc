@@ -35,7 +35,7 @@ RawTablePtr MakeRaw(int n, int partitions = 4) {
   auto t = std::make_shared<RawTable>();
   t->name = "raw";
   t->schema = KvSchema();
-  t->partitions = SplitRoundRobin(KvRows(n), partitions);
+  t->partitions = SplitContiguous(KvRows(n), partitions);
   return t;
 }
 
@@ -43,7 +43,7 @@ CachedTablePtr MakeCached(int n, int partitions = 4) {
   auto t = std::make_shared<CachedTable>();
   t->name = "cached";
   t->schema = KvSchema();
-  auto parts = SplitRoundRobin(KvRows(n), partitions);
+  auto parts = SplitContiguous(KvRows(n), partitions);
   for (auto& p : parts) {
     t->partitions.push_back(ColumnCache::FromRows(t->schema, p).ValueOrDie());
   }
@@ -283,7 +283,7 @@ TEST(HashAggregateOpTest, CountSkipsNullsSumIgnoresNulls) {
   auto t = std::make_shared<RawTable>();
   t->name = "n";
   t->schema = schema;
-  t->partitions = SplitRoundRobin(rows, 2);
+  t->partitions = SplitContiguous(rows, 2);
   std::vector<AggSpec> aggs = {{AggFn::kCount, Bound(Col("v"), *schema), "c"},
                                {AggFn::kSum, Bound(Col("v"), *schema), "s"},
                                {AggFn::kAvg, Bound(Col("v"), *schema), "a"}};
@@ -342,7 +342,7 @@ TEST(ShuffledHashJoinOpTest, InnerEquiJoin) {
   auto build = std::make_shared<RawTable>();
   build->name = "build";
   build->schema = build_schema;
-  build->partitions = SplitRoundRobin(build_rows, 4);
+  build->partitions = SplitContiguous(build_rows, 4);
 
   auto out_schema = Schema::Concat(*build_schema, *KvSchema());
   auto join = std::make_shared<ShuffledHashJoinOp>(
@@ -366,7 +366,7 @@ TEST(BroadcastHashJoinOpTest, MatchesShuffledJoinResults) {
   auto build = std::make_shared<RawTable>();
   build->name = "b";
   build->schema = build_schema;
-  build->partitions = SplitRoundRobin(build_rows, 2);
+  build->partitions = SplitContiguous(build_rows, 2);
 
   auto out_schema = Schema::Concat(*build_schema, *KvSchema());
   auto bjoin = std::make_shared<BroadcastHashJoinOp>(
@@ -393,7 +393,7 @@ TEST(BroadcastHashJoinOpTest, BroadcastRightPreservesColumnOrder) {
   auto right = std::make_shared<RawTable>();
   right->name = "r";
   right->schema = right_schema;
-  right->partitions = SplitRoundRobin(right_rows, 1);
+  right->partitions = SplitContiguous(right_rows, 1);
 
   auto out_schema = Schema::Concat(*KvSchema(), *right_schema);
   auto join = std::make_shared<BroadcastHashJoinOp>(
@@ -420,7 +420,7 @@ TEST(SortMergeJoinOpTest, MatchesHashJoinResults) {
   auto build = std::make_shared<RawTable>();
   build->name = "b";
   build->schema = build_schema;
-  build->partitions = SplitRoundRobin(build_rows, 3);
+  build->partitions = SplitContiguous(build_rows, 3);
 
   auto out_schema = Schema::Concat(*build_schema, *KvSchema());
   auto smj = std::make_shared<SortMergeJoinOp>(
@@ -447,7 +447,7 @@ TEST(SortMergeJoinOpTest, DuplicateKeyRunsCrossProduct) {
     auto t = std::make_shared<RawTable>();
     t->name = name;
     t->schema = schema;
-    t->partitions = SplitRoundRobin(rows, 2);
+    t->partitions = SplitContiguous(rows, 2);
     return t;
   };
   auto out_schema = Schema::Concat(*schema, *schema);
@@ -468,7 +468,7 @@ TEST(JoinTest, NullKeysNeverMatch) {
     auto t = std::make_shared<RawTable>();
     t->name = name;
     t->schema = schema;
-    t->partitions = SplitRoundRobin(rows, 2);
+    t->partitions = SplitContiguous(rows, 2);
     return t;
   };
   auto out_schema = Schema::Concat(*schema, *schema);

@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "ctrie/ctrie.h"
+#include "indexed/indexed_operators.h"
 #include "indexed/indexed_partition.h"
 #include "io/csv.h"
 #include "sql/predicate_compiler.h"
@@ -539,6 +540,312 @@ TEST_P(VectorizedFuzzTest, BatchEvalMatchesEvalEncodedBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedFuzzTest,
                          ::testing::Values(66, 77, 88));
+
+// ---------------------------------------------------------------------------
+// Block pruning: CompiledPredicate::MayMatch over a sealed block's zone map
+// must be sound — whenever any row of the block Matches, MayMatch is true —
+// over integer-heavy random schemas, blocks whose values cluster in narrow
+// windows (so ranges are tight enough to prune), null-heavy and all-null
+// blocks, and predicates whose comparisons read bound (possibly null)
+// parameters. The scan-filter and fused-aggregate operators, which skip
+// the blocks MayMatch rules out, must return exactly what the unpruned
+// scan returns: the same rows in the same order in every partition.
+// ---------------------------------------------------------------------------
+
+/// Mostly zone-mapped column types (bool/int32/int64/timestamp), with
+/// float and string columns mixed in.
+SchemaPtr ZoneMapSchema(Random64& rng) {
+  const TypeId types[] = {TypeId::kInt64,     TypeId::kInt32,
+                          TypeId::kTimestamp, TypeId::kBool,
+                          TypeId::kInt64,     TypeId::kFloat64,
+                          TypeId::kString};
+  const int num_fields = 2 + static_cast<int>(rng.Uniform(4));
+  std::vector<Field> fields;
+  for (int f = 0; f < num_fields; ++f) {
+    fields.push_back({"c" + std::to_string(f), types[rng.Uniform(7)], true});
+  }
+  return Schema::Make(std::move(fields));
+}
+
+/// Rows whose every column clusters per block: each run of kBlockRows rows
+/// draws, per column, a narrow value window and a null rate (none, some,
+/// most or all).
+RowVec ClusteredRows(Random64& rng, const Schema& schema, size_t num_rows) {
+  RowVec rows;
+  const int n = schema.num_fields();
+  std::vector<int64_t> base(static_cast<size_t>(n));
+  std::vector<uint64_t> width(static_cast<size_t>(n));
+  std::vector<uint64_t> null_in_8(static_cast<size_t>(n));
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (r % BlockDirectory::kBlockRows == 0) {
+      for (size_t f = 0; f < static_cast<size_t>(n); ++f) {
+        base[f] = static_cast<int64_t>(rng.Uniform(13)) - 6;
+        const uint64_t widths[] = {0, 1, 3, 8};
+        width[f] = widths[rng.Uniform(4)];
+        const uint64_t nulls[] = {0, 1, 7, 8};
+        null_in_8[f] = nulls[rng.Uniform(4)];
+      }
+    }
+    Row row;
+    for (int f = 0; f < n; ++f) {
+      const size_t i = static_cast<size_t>(f);
+      if (rng.Uniform(8) < null_in_8[i]) {
+        row.push_back(Value::Null());
+        continue;
+      }
+      const int64_t v = base[i] + static_cast<int64_t>(rng.Uniform(width[i] + 1));
+      switch (schema.field(f).type) {
+        case TypeId::kBool:
+          row.push_back(Value(v > 0));
+          break;
+        case TypeId::kInt32:
+          row.push_back(Value(static_cast<int32_t>(v)));
+          break;
+        case TypeId::kInt64:
+        case TypeId::kTimestamp:
+          row.push_back(Value(v));
+          break;
+        case TypeId::kFloat64:
+          row.push_back(Value(static_cast<double>(v) / 2));
+          break;
+        case TypeId::kString:
+          row.push_back(Value(std::string(1, static_cast<char>('a' + (v & 7)))));
+          break;
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// A random predicate over `schema` whose comparison immediates are
+/// literals or typed parameters; `params` receives each parameter's
+/// binding (null about one time in eight).
+ExprPtr ZonePredicate(Random64& rng, const Schema& schema, int depth,
+                      std::vector<Value>* params) {
+  if (depth > 0 && rng.Uniform(3) != 0) {
+    switch (rng.Uniform(3)) {
+      case 0:
+        return And(ZonePredicate(rng, schema, depth - 1, params),
+                   ZonePredicate(rng, schema, depth - 1, params));
+      case 1:
+        return Or(ZonePredicate(rng, schema, depth - 1, params),
+                  ZonePredicate(rng, schema, depth - 1, params));
+      default:
+        return Not(ZonePredicate(rng, schema, depth - 1, params));
+    }
+  }
+  const int col =
+      static_cast<int>(rng.Uniform(static_cast<uint64_t>(schema.num_fields())));
+  const Field& field = schema.field(col);
+  switch (rng.Uniform(8)) {
+    case 0:
+      return IsNull(Col(field.name));
+    case 1:
+      return IsNotNull(Col(field.name));
+    case 2:
+      if (field.type == TypeId::kBool) return Col(field.name);
+      break;
+    default:
+      break;
+  }
+  // The immediate: the column's own type, or a double against an integer
+  // column (the widening compare), near the clustered value windows.
+  const int64_t k = static_cast<int64_t>(rng.Uniform(17)) - 8;
+  Value imm;
+  TypeId imm_type = field.type;
+  switch (field.type) {
+    case TypeId::kBool:
+      imm = Value(k > 0);
+      break;
+    case TypeId::kString:
+      imm = Value(std::string(1, static_cast<char>('a' + (k & 7))));
+      break;
+    case TypeId::kFloat64:
+      imm = Value(static_cast<double>(k) / 2);
+      break;
+    default:
+      if (rng.Uniform(4) == 0) {
+        imm = Value(static_cast<double>(k) + 0.5);
+        imm_type = TypeId::kFloat64;
+      } else {
+        imm = Value(k);
+        imm_type = TypeId::kInt64;
+      }
+      break;
+  }
+  ExprPtr rhs;
+  if (rng.Uniform(2) == 0) {
+    rhs = Lit(imm);
+  } else {
+    rhs = Param(static_cast<int>(params->size()), imm_type);
+    params->push_back(rng.Uniform(8) == 0 ? Value::Null() : imm);
+  }
+  ExprPtr lhs = Col(field.name);
+  if (rng.Uniform(4) == 0) std::swap(lhs, rhs);
+  switch (rng.Uniform(6)) {
+    case 0:
+      return Eq(std::move(lhs), std::move(rhs));
+    case 1:
+      return Ne(std::move(lhs), std::move(rhs));
+    case 2:
+      return Lt(std::move(lhs), std::move(rhs));
+    case 3:
+      return Le(std::move(lhs), std::move(rhs));
+    case 4:
+      return Gt(std::move(lhs), std::move(rhs));
+    default:
+      return Ge(std::move(lhs), std::move(rhs));
+  }
+}
+
+class ZoneMapFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ZoneMapFuzzTest, MayMatchIsSoundOnEveryBlock) {
+  Random64 rng(GetParam());
+  EngineConfig cfg;
+  cfg.row_batch_bytes = 16 * 1024;  // blocks straddle row batches
+  size_t pruned = 0;
+  size_t checked = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SchemaPtr schema = ZoneMapSchema(rng);
+    const RowVec rows = ClusteredRows(
+        rng, *schema, 3 * BlockDirectory::kBlockRows + rng.Uniform(300));
+    IndexedPartition part(schema, 0, cfg);
+    for (const Row& row : rows) ASSERT_TRUE(part.Append(row).ok());
+    const IndexedPartition::View view = part.Snapshot();
+    ASSERT_EQ(view.num_blocks(),
+              (rows.size() + BlockDirectory::kBlockRows - 1) /
+                  BlockDirectory::kBlockRows);
+
+    // The block walk yields every row, in append order.
+    std::vector<std::vector<const uint8_t*>> blocks(view.num_blocks());
+    size_t next = 0;
+    for (uint64_t b = 0; b < view.num_blocks(); ++b) {
+      view.BlockPayloads(b, &blocks[b]);
+      ASSERT_EQ(blocks[b].size(), view.BlockRows(b));
+      for (const uint8_t* payload : blocks[b]) {
+        ASSERT_EQ(DecodeRow(payload, *schema), rows[next]) << "row " << next;
+        ++next;
+      }
+    }
+    ASSERT_EQ(next, rows.size());
+
+    for (int q = 0; q < 25; ++q) {
+      std::vector<Value> params;
+      ExprPtr pred = ZonePredicate(rng, *schema, 3, &params);
+      ExprPtr bound = BindExpr(pred, *schema).ValueOrDie();
+      std::optional<CompiledPredicate> program =
+          CompiledPredicate::Compile(bound, *schema);
+      if (!program.has_value()) continue;
+      const CompiledPredicate bound_program =
+          program->BindParams(params).ValueOrDie();
+      for (uint64_t b = 0; b < view.num_blocks(); ++b) {
+        if (!view.BlockSealed(b)) continue;
+        bool any = false;
+        for (const uint8_t* payload : blocks[b]) {
+          any = any || bound_program.Matches(payload);
+        }
+        const bool may = bound_program.MayMatch(view.ZoneMap(b));
+        ++checked;
+        if (!may) ++pruned;
+        ASSERT_TRUE(may || !any)
+            << "seed " << GetParam() << " trial " << trial << " block " << b
+            << ": " << bound->ToString();
+      }
+    }
+  }
+  // The generator must give blocks and predicates that actually prune, or
+  // the soundness check proves nothing.
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(pruned, checked / 10);
+}
+
+TEST_P(ZoneMapFuzzTest, PrunedScansAndAggregatesMatchTheUnprunedScan) {
+  Random64 rng(GetParam());
+  EngineConfig cfg;
+  cfg.num_partitions = 3;
+  cfg.num_threads = 2;
+  cfg.morsel_rows = 512;  // several morsels per partition
+  cfg.row_batch_bytes = 16 * 1024;
+  auto ctx = ExecutorContext::Make(cfg).ValueOrDie();
+  uint64_t skipped = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    SchemaPtr schema = ZoneMapSchema(rng);
+    RowVec rows = ClusteredRows(rng, *schema, 8 * BlockDirectory::kBlockRows);
+    auto rel =
+        IndexedRelation::Build(*ctx, "t", schema, 0, rows).ValueOrDie();
+    // Small appends leave open tails behind the sealed blocks.
+    for (int batch = 0; batch < 5; ++batch) {
+      ASSERT_TRUE(
+          rel->AppendRows(*ctx, ClusteredRows(rng, *schema, 20)).ok());
+    }
+    const IndexedRelationSnapshot snap = rel->Snapshot();
+    std::vector<RowVec> all(static_cast<size_t>(snap.num_partitions()));
+    for (int p = 0; p < snap.num_partitions(); ++p) {
+      snap.view(p).Scan([&](const Row& row) {
+        all[static_cast<size_t>(p)].push_back(row);
+      });
+    }
+
+    for (int q = 0; q < 15; ++q) {
+      std::vector<Value> params;
+      ExprPtr bound =
+          BindExpr(ZonePredicate(rng, *schema, 2, &params), *schema)
+              .ValueOrDie();
+      ExprPtr oracle = SubstituteParameters(bound, params).ValueOrDie();
+      PushedFilter filter =
+          PushedFilter::FromSplit(SplitForCompilation(bound, *schema));
+      ctx->SetParameters(
+          std::make_shared<const std::vector<Value>>(params));
+
+      // Scan-filter: per-partition rows, in append order.
+      std::vector<RowVec> want(all.size());
+      int64_t want_count = 0;
+      for (size_t p = 0; p < all.size(); ++p) {
+        for (const Row& row : all[p]) {
+          if (InterpreterTri(oracle, row) == TriBool::kTrue) {
+            want[p].push_back(row);
+            ++want_count;
+          }
+        }
+      }
+      ctx->metrics().Reset();
+      IndexedScanFilterOp scan(rel, bound, filter);
+      PartitionVec got = scan.Execute(*ctx).ValueOrDie();
+      skipped += ctx->metrics().blocks_skipped();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t p = 0; p < want.size(); ++p) {
+        ASSERT_EQ(got[p].rows(), want[p])
+            << "seed " << GetParam() << " trial " << trial << " partition "
+            << p << ": " << bound->ToString();
+      }
+
+      // Fused aggregate: COUNT(*) and COUNT(c0) over the same filter.
+      SchemaPtr out = Schema::Make({{"n", TypeId::kInt64, false},
+                                    {"n0", TypeId::kInt64, false}});
+      IndexedScanAggregateOp agg(
+          rel, bound, filter, {},
+          {CountStar("n"), CountOf(BindExpr(Col("c0"), *schema).ValueOrDie(),
+                                   "n0")},
+          out);
+      RowVec agg_rows = CollectRows(agg.Execute(*ctx).ValueOrDie());
+      ASSERT_EQ(agg_rows.size(), 1u);
+      int64_t want_nonnull = 0;
+      for (const RowVec& part : want) {
+        for (const Row& row : part) want_nonnull += row[0].is_null() ? 0 : 1;
+      }
+      EXPECT_EQ(agg_rows[0][0].int64_value(), want_count)
+          << bound->ToString();
+      EXPECT_EQ(agg_rows[0][1].int64_value(), want_nonnull)
+          << bound->ToString();
+    }
+  }
+  EXPECT_GT(skipped, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZoneMapFuzzTest,
+                         ::testing::Values(101, 202, 303));
 
 // ---------------------------------------------------------------------------
 // Indexed chain-walk fast path vs a linear-scan model: the raw-slot key

@@ -43,10 +43,10 @@ TEST(PartitionerTest, SpreadsKeysReasonably) {
   }
 }
 
-TEST(SplitRoundRobinTest, BalancesAndPreservesRows) {
+TEST(SplitContiguousTest, BalancesAndPreservesOrder) {
   RowVec rows;
   for (int64_t i = 0; i < 103; ++i) rows.push_back({Value(i)});
-  PartitionedRows parts = SplitRoundRobin(rows, 4);
+  PartitionedRows parts = SplitContiguous(rows, 4);
   ASSERT_EQ(parts.size(), 4u);
   RowVec flat;
   for (const RowVec& p : parts) {
@@ -54,9 +54,10 @@ TEST(SplitRoundRobinTest, BalancesAndPreservesRows) {
     EXPECT_LE(p.size(), 26u);
     flat.insert(flat.end(), p.begin(), p.end());
   }
-  SortRows(&flat);
-  SortRows(&rows);
+  // Contiguous slices, in order: concatenation is the input itself.
   EXPECT_EQ(flat, rows);
+  EXPECT_EQ(parts[0].front()[0], Value(int64_t{0}));
+  EXPECT_EQ(parts[3].back()[0], Value(int64_t{102}));
 }
 
 // ---------------------------------------------------------------------------
@@ -83,10 +84,10 @@ RowVec ShuffleFixture() {
   return rows;
 }
 
-/// `rows` split round-robin into `n` input partitions.
+/// `rows` split into `n` contiguous input partitions.
 PartitionVec Inputs(const RowVec& rows, int n) {
   PartitionVec out;
-  for (RowVec& p : SplitRoundRobin(rows, n)) out.emplace_back(std::move(p));
+  for (RowVec& p : SplitContiguous(rows, n)) out.emplace_back(std::move(p));
   return out;
 }
 
