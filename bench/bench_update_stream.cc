@@ -84,7 +84,10 @@ BENCHMARK(BM_UpdateStreamWithQueries)
 // one row batch per append; the point-lookup chain walk degrades with the
 // batch span. With the background Compactor on, chains are periodically
 // rewritten key-clustered and the lookup p99 stays bounded. Counters:
-// lookup_p99_us, mean_batch_span (at the end of the run), compactions_run.
+// lookup_p99_us, mean_batch_span (at the end of the run), compactions_run,
+// and arena_bytes_per_row: the live generations' cTrie arena over the rows
+// stored, the memory line of a lookup loop under an append stream (reads
+// allocate no index nodes, so it stays at the appends' own cost).
 void BM_SustainedAppendLookupP99(benchmark::State& state) {
   const bool compaction_on = state.range(0) != 0;
   for (auto _ : state) {
@@ -158,6 +161,9 @@ void BM_SustainedAppendLookupP99(benchmark::State& state) {
         static_cast<double>(compactor.stats().compactions_run);
     state.counters["bytes_reclaimed"] =
         static_cast<double>(compactor.stats().bytes_reclaimed);
+    state.counters["arena_bytes_per_row"] =
+        static_cast<double>(rel->arena_bytes()) /
+        static_cast<double>(std::max<size_t>(1, rel->num_rows()));
     state.ResumeTiming();
   }
 }

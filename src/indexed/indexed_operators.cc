@@ -632,17 +632,15 @@ Result<ScanSource> ScanSource::Of(const RelationRead& read) {
 std::string ScanSource::Label() const { return RelationRead(rel, pin).Label(); }
 
 Result<PartitionVec> IndexedScanOp::Execute(ExecutorContext& ctx) {
-  std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
+  const auto snap = source_.Snapshot();
   const Schema& schema = *source_.schema();
-  return MorselScanDense(ctx, snap, [&schema](const uint8_t* payload) {
+  return MorselScanDense(ctx, *snap, [&schema](const uint8_t* payload) {
     return DecodeRow(payload, schema);
   });
 }
 
 Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
-  std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
+  const auto snap = source_.Snapshot();
   const Schema& schema = *source_.schema();
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   if (filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
@@ -653,7 +651,7 @@ Result<PartitionVec> IndexedScanFilterOp::Execute(ExecutorContext& ctx) {
   // batch-at-a-time on the payloads, so rows it rejects are never decoded.
   // A filter with no compilable part runs its residual on every decoded
   // row.
-  return ScanFilter(ctx, snap, schema, compiled, residual, project_cols_);
+  return ScanFilter(ctx, *snap, schema, compiled, residual, project_cols_);
 }
 
 std::string SecondaryIndexProbeOp::name() const {
@@ -669,8 +667,7 @@ std::string SecondaryIndexProbeOp::name() const {
 
 Result<PartitionVec> SecondaryIndexProbeOp::Execute(ExecutorContext& ctx) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
-  std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
+  const auto snap = source_.Snapshot();
   const Schema& schema = *source_.schema();
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   if (filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
@@ -682,7 +679,7 @@ Result<PartitionVec> SecondaryIndexProbeOp::Execute(ExecutorContext& ctx) {
   // partition, so the morsel machinery's flattening would cost more than
   // it balances. Each task probes its view's index (or falls back to a
   // full partition scan) and filters/projects the survivors in place.
-  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
+  const size_t num_parts = static_cast<size_t>(snap->num_partitions());
   std::vector<RowVec> rows(num_parts);
   std::vector<ChunkStats> part_stats(num_parts);
   std::atomic<uint64_t> bitmap_probes{0};
@@ -695,7 +692,7 @@ Result<PartitionVec> SecondaryIndexProbeOp::Execute(ExecutorContext& ctx) {
         ctx.metrics().AddTask();
         std::vector<const uint8_t*> payloads;
         SecondaryProbeStats pstats;
-        snap.view(static_cast<int>(p))
+        snap->view(static_cast<int>(p))
             .ProbeSecondary(probes_, &payloads, &pstats);
         if (pstats.used_index) {
           for (const SecondaryProbe& probe : probes_) {
@@ -708,8 +705,7 @@ Result<PartitionVec> SecondaryIndexProbeOp::Execute(ExecutorContext& ctx) {
           scans_avoided.fetch_add(pstats.rows_avoided,
                                   std::memory_order_relaxed);
         }
-        rows_scanned.fetch_add(pstats.from_index + pstats.suffix_scanned,
-                               std::memory_order_relaxed);
+        rows_scanned.fetch_add(pstats.rows_examined, std::memory_order_relaxed);
         ChunkStats& stats = part_stats[p];
         RowVec& dst = rows[p];
         dst.reserve(payloads.size());
@@ -743,10 +739,9 @@ Result<PartitionVec> SecondaryIndexProbeOp::Execute(ExecutorContext& ctx) {
 }
 
 Result<PartitionVec> IndexedScanProjectOp::Execute(ExecutorContext& ctx) {
-  std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
+  const auto snap = source_.Snapshot();
   const Schema& schema = *source_.schema();
-  return MorselScanDense(ctx, snap, [this, &schema](const uint8_t* payload) {
+  return MorselScanDense(ctx, *snap, [this, &schema](const uint8_t* payload) {
     Row row;
     row.reserve(cols_.size());
     for (int c : cols_) row.push_back(DecodeColumn(payload, schema, c));
@@ -755,8 +750,7 @@ Result<PartitionVec> IndexedScanProjectOp::Execute(ExecutorContext& ctx) {
 }
 
 Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
-  std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
+  const auto snap = source_.Snapshot();
   const Schema& schema = *source_.schema();
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
   if (filter.compiled) ctx.metrics().AddPredicatesCompiled(1);
@@ -857,7 +851,7 @@ Result<PartitionVec> IndexedScanAggregateOp::Execute(ExecutorContext& ctx) {
   IDF_ASSIGN_OR_RETURN(
       std::vector<AggChunk> states,
       ScanBlocks<AggChunk>(
-          ctx, snap, compiled,
+          ctx, *snap, compiled,
           [&](AggChunk& st, size_t, const IndexedPartition::View&, uint64_t,
               const std::vector<const uint8_t*>& block) {
             if (st.sel.empty()) {
@@ -926,21 +920,19 @@ std::string IndexLookupOp::name() const {
 }
 
 Result<PartitionVec> IndexLookupOp::Execute(ExecutorContext& ctx) {
-  std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = source_.Snapshot(&scratch);
+  const auto snap = source_.Snapshot();
   IDF_ASSIGN_OR_RETURN(std::vector<Value> keys,
                        ResolveLookupKeys(keys_, key_params_, ctx));
   IDF_ASSIGN_OR_RETURN(PushedFilter filter, BindPushedFilter(filter_, ctx));
-  return LookupKeys(ctx, snap, keys, filter);
+  return LookupKeys(ctx, *snap, keys, filter);
 }
 
 Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
   IDF_RETURN_NOT_OK(ctx.CheckCancelled());
   IDF_ASSIGN_OR_RETURN(PartitionVec probe_parts, children()[0]->Execute(ctx));
-  std::optional<IndexedRelationSnapshot> scratch;
-  const IndexedRelationSnapshot& snap = build_.Snapshot(&scratch);
+  const auto snap = build_.Snapshot();
   const Schema& probe_schema = *children()[0]->schema();
-  const size_t num_parts = static_cast<size_t>(snap.num_partitions());
+  const size_t num_parts = static_cast<size_t>(snap->num_partitions());
 
   // Build-side filter from a pushed-down predicate on the indexed
   // relation: the compiled part runs batch-at-a-time on the encoded build
@@ -975,13 +967,13 @@ Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
     for (size_t r = 0; r < bc.rows->size(); ++r) {
       IDF_ASSIGN_OR_RETURN(Value key, probe_key_->Eval((*bc.rows)[r]));
       if (key.is_null()) continue;
-      owned[static_cast<size_t>(snap.partitioner().PartitionOf(key))].push_back(r);
+      owned[static_cast<size_t>(snap->partitioner().PartitionOf(key))].push_back(r);
       keys[r] = std::move(key);
     }
   } else {
     IDF_ASSIGN_OR_RETURN(shuffled,
                          ShuffleEncodedByKeyExpr(ctx, probe_parts, probe_schema,
-                                                 probe_key_, snap.partitioner()));
+                                                 probe_key_, snap->partitioner()));
   }
   int probe_key_col = -1;
   if (probe_key_->kind() == ExprKind::kColumnRef) {
@@ -1018,7 +1010,7 @@ Result<PartitionVec> IndexedJoinOp::Execute(ExecutorContext& ctx) {
         while (i < end) {
           const size_t pstart = p == 0 ? 0 : part_end[p - 1];
           const size_t pend = std::min(end, part_end[p]);
-          const IndexedPartition::View& view = snap.view(static_cast<int>(p));
+          const IndexedPartition::View& view = snap->view(static_cast<int>(p));
           MorselPiece piece{p, {}};
           // Broadcast probe ids index the shared rows; a shuffled probe row
           // decodes on its first surviving candidate and serves the rest.

@@ -62,15 +62,12 @@ struct ScanSource {
   /// `name`, or `name@vN` when pinned.
   std::string Label() const;
 
-  /// The snapshot to read: the frozen one for a pin, otherwise freshly
-  /// captured (parked in `scratch`, which must outlive the returned
-  /// reference). Snapshots are move-only (the per-partition views hold trie
-  /// roots), hence the out-parameter instead of a by-value return.
-  const IndexedRelationSnapshot& Snapshot(
-      std::optional<IndexedRelationSnapshot>* scratch) const {
-    if (pin) return pin->snapshot();
-    scratch->emplace(rel->Snapshot());
-    return **scratch;
+  /// The snapshot to read: the frozen one for a pin (shared with the pin,
+  /// not copied: concurrent executions of one pinned plan would contend on
+  /// every view's reference counts), otherwise freshly captured.
+  std::shared_ptr<const IndexedRelationSnapshot> Snapshot() const {
+    if (pin) return {pin, &pin->snapshot()};
+    return std::make_shared<const IndexedRelationSnapshot>(rel->Snapshot());
   }
 };
 
@@ -125,9 +122,8 @@ class IndexedScanFilterOp : public PhysicalOp {
 
 /// Secondary-index probe: per partition, the view's bitmap or range index
 /// yields the matching row positions (several ANDed probes intersect their
-/// sorted position lists — the bitmap-AND path), the payload directory
-/// resolves positions to encoded payloads, and a linear suffix scan covers
-/// rows appended after the index cut. The survivors feed the same pushed
+/// sorted position lists — the bitmap-AND path) and the payload directory
+/// resolves positions to encoded payloads. The survivors feed the same pushed
 /// filter + projection machinery as the fused scan. Views lacking the
 /// index fall back to a full scan of that partition, so results never
 /// depend on index registration racing a query.

@@ -27,8 +27,7 @@ SecondaryIndexSet::SecondaryIndexSet(SchemaPtr schema,
       ranges_(specs_.size()),
       directory_(std::make_shared<PayloadDirectory>()) {}
 
-SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary) {
-  SecondaryMaintenanceStats stats;
+SecondaryIndexCutPtr SecondaryIndexSet::BuildCut(SecondaryMaintenanceStats* stats) {
   const uint64_t limit = directory_->size();
   const Schema& schema = *schema_;
   for (size_t s = 0; s < specs_.size(); ++s) {
@@ -48,12 +47,12 @@ SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary)
     }
     const uint64_t us = ElapsedUs(t0);
     if (spec.kind == SecondaryIndexKind::kBitmap) {
-      stats.bitmap_us += us;
+      stats->bitmap_us += us;
     } else {
-      stats.range_us += us;
+      stats->range_us += us;
     }
   }
-  stats.rows = static_cast<size_t>(limit - indexed_);
+  stats->rows += static_cast<size_t>(limit - indexed_);
   indexed_ = limit;
   ++epoch_;
 
@@ -70,14 +69,8 @@ SecondaryMaintenanceStats SecondaryIndexSet::PublishCut(StoreWatermark boundary)
     cut->entries.push_back(std::move(entry));
   }
   cut->covered = limit;
-  cut->boundary = boundary;
-  cut->epoch = epoch_;
   cut->directory = directory_;
-  // The release edge of this store is what makes the plain directory and
-  // segment writes above visible to lock-free readers.
-  std::atomic_store_explicit(&cut_, SecondaryIndexCutPtr(std::move(cut)),
-                             std::memory_order_release);
-  return stats;
+  return cut;
 }
 
 void SecondaryIndexSet::MergeRuns() {
@@ -141,6 +134,19 @@ IndexedPartition::IndexedPartition(SchemaPtr schema, int indexed_col,
       gen_(std::make_shared<PartitionGeneration>(
           *schema_, config.row_batch_bytes, config.max_row_bytes)) {}
 
+SecondaryMaintenanceStats PartitionGeneration::Commit() {
+  SecondaryMaintenanceStats stats;
+  auto record = std::make_shared<CommitRecord>();
+  record->watermark = store.Watermark();
+  if (secondary != nullptr) record->secondary = secondary->BuildCut(&stats);
+  // The release edge of this store is what makes every plain write of the
+  // commit (row bytes, block entries, cut segments, payload directory)
+  // visible to readers that acquire the record.
+  std::atomic_store_explicit(&record_, CommitRecordPtr(std::move(record)),
+                             std::memory_order_release);
+  return stats;
+}
+
 Status IndexedPartition::Append(const Row& row) {
   // The appender holds the partition write lock, which also excludes
   // compaction swaps: a plain generation read is safe here.
@@ -171,20 +177,15 @@ Status IndexedPartition::AppendToGen(PartitionGeneration& g, const Row& row) {
     g.index.Insert(h, ptr.bits());
     RecordAppend(g, h, ptr);
   }
-  SecondaryIndexSetPtr sec =
-      std::atomic_load_explicit(&g.secondary, std::memory_order_acquire);
-  if (sec != nullptr) {
-    sec->StageRow(payload);
-    sec->PublishCut(g.store.Watermark());
-  }
+  if (g.secondary != nullptr) g.secondary->StageRow(payload);
+  g.Commit();
   return Status::OK();
 }
 
 Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
                                      AppendBatchResult* result) {
   PartitionGeneration& g = *gen_;  // caller holds the partition write lock
-  SecondaryIndexSetPtr sec =
-      std::atomic_load_explicit(&g.secondary, std::memory_order_acquire);
+  SecondaryIndexSet* sec = g.secondary.get();
   // The head of each key touched by this batch: seeded from the trie on
   // first occurrence, then advanced locally so intra-batch chain links are
   // built without republishing intermediate heads.
@@ -241,19 +242,17 @@ Status IndexedPartition::AppendBatch(const std::vector<EncodedRowRef>& rows,
   }
 
   // Publish one head per key, after every row of the batch (or of the
-  // prefix that made it in) has its bytes committed. Readers snapshotting
-  // between publishes see a consistent prefix of the batch per key.
+  // prefix that made it in) has its bytes committed, then the commit
+  // record: a reader that acquires the record finds every head its
+  // watermark covers. Secondary-index maintenance rides inside the same
+  // lock acquisition (one cut per batch). On error the committed prefix
+  // is published, indexed and covered alike.
   for (const auto& [hash, slot] : heads) {
     if (slot.head.is_null()) continue;  // key never landed a row
     g.index.Insert(hash, slot.head.bits());
     local.keys_published += 1;
   }
-  // Secondary-index maintenance rides inside the same lock acquisition:
-  // one cut publish per batch. On error the committed prefix is indexed,
-  // matching the store and the cTrie heads above.
-  if (sec != nullptr) {
-    local.maintenance = sec->PublishCut(g.store.Watermark());
-  }
+  local.maintenance = g.Commit();
   if (result != nullptr) *result = local;
   return error;
 }
@@ -269,11 +268,9 @@ Status IndexedPartition::AddSecondaryIndexLocked(const SecondaryIndexSpec& spec)
     return Status::InvalidArgument("secondary index kind must be bitmap or range");
   }
   PartitionGeneration& g = *gen_;  // caller holds the partition write lock
-  SecondaryIndexSetPtr old =
-      std::atomic_load_explicit(&g.secondary, std::memory_order_acquire);
   std::vector<SecondaryIndexSpec> specs;
-  if (old != nullptr) {
-    specs = old->specs();
+  if (g.secondary != nullptr) {
+    specs = g.secondary->specs();
     for (const SecondaryIndexSpec& s : specs) {
       if (s.column == spec.column) {
         return Status::InvalidArgument(
@@ -287,43 +284,32 @@ Status IndexedPartition::AddSecondaryIndexLocked(const SecondaryIndexSpec& spec)
   // position space is unchanged, so rebuilding every index from scratch
   // keeps registration one code path; readers holding the old set's cuts
   // stay valid — the old directory lives inside them). The write lock
-  // excludes appends, so the watermark is the exact backfill boundary.
+  // excludes appends, so the store is the exact backfill.
   auto fresh = std::make_shared<SecondaryIndexSet>(schema_, std::move(specs));
-  const StoreWatermark wm = g.store.Watermark();
-  const Schema& schema = *schema_;
-  g.ForEachRow(schema, {}, wm.num_rows,
+  g.ForEachRow(*schema_, {}, g.store.num_rows(),
                [&](const uint8_t* payload) { fresh->StageRow(payload); });
-  fresh->PublishCut(wm);
-  std::atomic_store_explicit(&g.secondary, std::move(fresh),
-                             std::memory_order_release);
+  g.secondary = std::move(fresh);
+  g.Commit();
   return Status::OK();
 }
 
 std::vector<SecondaryIndexSpec> IndexedPartition::secondary_specs() const {
-  PartitionGenerationPtr g = gen();
-  SecondaryIndexSetPtr set =
-      std::atomic_load_explicit(&g->secondary, std::memory_order_acquire);
-  return set != nullptr ? set->specs() : std::vector<SecondaryIndexSpec>{};
+  const CommitRecordPtr record = gen()->record();
+  std::vector<SecondaryIndexSpec> specs;
+  if (record->secondary != nullptr) {
+    for (const SecondaryIndexCut::Entry& e : record->secondary->entries) {
+      specs.push_back(e.spec);
+    }
+  }
+  return specs;
 }
 
 IndexedPartition::View IndexedPartition::Snapshot() const {
-  // Lock-free vs both appends and compaction swaps: grab the generation
-  // first, then snapshot inside it. If a swap lands in between we read the
-  // old (frozen, still complete) generation. Order matters inside the
-  // generation: the secondary cut and the trie snapshot are captured
-  // BEFORE the watermark, so everything reachable from either (cut
-  // positions, trie pointers, sealed blocks) is covered by the watermark —
-  // in particular cut.covered <= wm.num_rows, which ProbeSecondary relies
-  // on, and the sealed blocks never reach past it.
+  // If a compaction swap lands after the generation load, the view reads
+  // the old (frozen, still complete) generation.
   PartitionGenerationPtr g = gen();
-  SecondaryIndexSetPtr set =
-      std::atomic_load_explicit(&g->secondary, std::memory_order_acquire);
-  SecondaryIndexCutPtr cut = set != nullptr ? set->cut() : nullptr;
-  CTrie trie = g->index.ReadOnlySnapshot();
-  const uint64_t sealed_blocks = g->blocks.sealed();
-  StoreWatermark wm = g->store.Watermark();
-  return View(schema_, indexed_col_, std::move(g), std::move(trie), wm,
-              std::move(cut), sealed_blocks);
+  CommitRecordPtr record = g->record();
+  return View(schema_, indexed_col_, std::move(g), std::move(record));
 }
 
 ChainStatsSnapshot IndexedPartition::ChainStats() const {
@@ -350,7 +336,9 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
 
   // Collect every chain of the old generation: (hash, pointers newest
   // first). The trie is frozen for writes while we hold the partition
-  // lock, so a read-only snapshot covers everything.
+  // lock, so a read-only snapshot covers everything; the generation is
+  // being retired, so the path renewals the snapshot causes in later
+  // lookups stay in its arena.
   struct Chain {
     uint64_t hash;
     std::vector<PackedPointer> ptrs;  // newest first (walk order)
@@ -416,20 +404,18 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   // position space; range runs are merged into one so post-compaction
   // probes binary-search a single run. Readers holding old-generation
   // views keep the old cuts and directory.
-  SecondaryIndexSetPtr old_sec =
-      std::atomic_load_explicit(&old_gen->secondary, std::memory_order_acquire);
-  if (old_sec != nullptr) {
-    auto fresh_sec = std::make_shared<SecondaryIndexSet>(schema_, old_sec->specs());
-    const StoreWatermark fwm = fresh->store.Watermark();
-    fresh->ForEachRow(schema, {}, fwm.num_rows, [&](const uint8_t* payload) {
-      fresh_sec->StageRow(payload);
-    });
-    fresh_sec->PublishCut(fwm);  // feeds the builders (sealed runs/segments)
-    fresh_sec->MergeRuns();
-    fresh_sec->PublishCut(fwm);  // republish with each range index merged
-    std::atomic_store_explicit(&fresh->secondary, std::move(fresh_sec),
-                               std::memory_order_release);
+  if (old_gen->secondary != nullptr) {
+    fresh->secondary =
+        std::make_shared<SecondaryIndexSet>(schema_, old_gen->secondary->specs());
+    fresh->ForEachRow(schema, {}, fresh->store.num_rows(),
+                      [&](const uint8_t* payload) {
+                        fresh->secondary->StageRow(payload);
+                      });
+    SecondaryMaintenanceStats unused;
+    fresh->secondary->BuildCut(&unused);  // feeds the builders
+    fresh->secondary->MergeRuns();
   }
+  fresh->Commit();  // the record new views read, cut with merged runs
 
   local.retired = old_gen;
   local.retired_bytes =
@@ -440,13 +426,6 @@ Status IndexedPartition::CompactLocked(CompactionResult* result) {
   std::atomic_store_explicit(&gen_, std::move(fresh), std::memory_order_release);
   if (result != nullptr) *result = std::move(local);
   return Status::OK();
-}
-
-bool IndexedPartition::View::InView(PackedPointer ptr) const {
-  if (ptr.is_null()) return false;
-  if (ptr.batch() + 1 < watermark_.num_batches) return true;
-  if (ptr.batch() + 1 > watermark_.num_batches) return false;
-  return ptr.offset() < watermark_.last_batch_bytes;
 }
 
 RowVec IndexedPartition::View::GetRows(const Value& key) const {
@@ -467,9 +446,7 @@ size_t IndexedPartition::View::GetRawRows(
 void IndexedPartition::View::ScanChain(
     const Value& key, const std::function<void(PackedPointer)>& fn) const {
   if (key.is_null()) return;
-  std::optional<uint64_t> head = trie_.Lookup(key.Hash());
-  if (!head.has_value()) return;
-  for (PackedPointer ptr(*head); !ptr.is_null();
+  for (PackedPointer ptr = FirstInView(key); !ptr.is_null();
        ptr = gen_->store.BackPointerAt(ptr)) {
     fn(ptr);
   }
@@ -484,26 +461,16 @@ void IndexedPartition::View::Scan(const std::function<void(const Row&)>& fn) con
 
 void IndexedPartition::View::ScanRaw(
     const std::function<void(const uint8_t*)>& fn) const {
-  WalkRows(BlockDirectory::Location{}, watermark_.num_rows, fn);
-}
-
-void IndexedPartition::View::ScanRawFrom(
-    const StoreWatermark& from,
-    const std::function<void(const uint8_t*)>& fn) const {
-  // A watermark's last_batch_bytes is the committed END of a row, which is
-  // not 8-byte aligned when the payload has a variable-width tail; row
-  // HEADERS are aligned (RowBatch::AppendEncoded), so the first suffix row
-  // starts at the next 8-byte boundary.
-  BlockDirectory::Location start;
-  if (from.num_batches != 0) {
-    start = BlockDirectory::Location{
-        from.num_batches - 1,
-        static_cast<uint32_t>((from.last_batch_bytes + 7) & ~size_t{7})};
-  }
-  WalkRows(start, watermark_.num_rows - from.num_rows, fn);
+  WalkRows(BlockDirectory::Location{}, num_rows(), fn);
 }
 
 namespace {
+
+/// The entry of `column` in `cut`, or null (no cut, or no index on it).
+const SecondaryIndexCut::Entry* FindEntry(const SecondaryIndexCutPtr& cut,
+                                          int column) {
+  return cut != nullptr ? cut->Find(column) : nullptr;
+}
 
 /// True when the cut entry can actually serve the probe (matching column,
 /// matching kind, structure present).
@@ -552,39 +519,36 @@ size_t IndexedPartition::View::ProbeSecondary(
     }
     return true;
   };
-  auto scan_match = [&](const uint8_t* payload) {
-    ++local.suffix_scanned;
-    if (all_match(payload)) {
-      out->push_back(payload);
-      ++local.matches;
-    }
-  };
-  bool servable = !probes.empty() && secondary_ != nullptr;
-  if (servable) {
-    for (const SecondaryProbe& probe : probes) {
-      if (!EntryServes(secondary_->Find(probe.column), probe)) {
-        servable = false;
-        break;
-      }
+  bool servable = !probes.empty();
+  for (const SecondaryProbe& probe : probes) {
+    if (!EntryServes(FindEntry(secondary_cut(), probe.column), probe)) {
+      servable = false;
+      break;
     }
   }
   if (!servable) {
     // The view predates some index (or carries none): a full scan returns
     // the identical row set, so correctness never depends on index state.
-    ScanRaw(scan_match);
+    ScanRaw([&](const uint8_t* payload) {
+      if (all_match(payload)) {
+        out->push_back(payload);
+        ++local.matches;
+      }
+    });
+    local.rows_examined = num_rows();
     if (stats != nullptr) *stats = local;
     return local.matches;
   }
   local.used_index = true;
+  const SecondaryIndexCut& cut = *secondary_cut();
 
-  // Indexed prefix: each probe yields ascending positions from the cut;
-  // ANDed probes intersect them (the bitmap-AND path). Emission stays in
-  // append order — the same order a scan yields — resolved through the
-  // payload directory.
+  // Each probe yields ascending positions from the cut; ANDed probes
+  // intersect them (the bitmap-AND path). Emission stays in append order —
+  // the same order a scan yields — resolved through the payload directory.
   std::vector<uint32_t> positions;
   for (size_t i = 0; i < probes.size(); ++i) {
     const SecondaryProbe& probe = probes[i];
-    const SecondaryIndexCut::Entry* entry = secondary_->Find(probe.column);
+    const SecondaryIndexCut::Entry* entry = cut.Find(probe.column);
     std::vector<uint32_t> hits;
     if (probe.kind == SecondaryIndexKind::kBitmap) {
       entry->bitmap->Probe(probe.keys, &hits);
@@ -600,17 +564,11 @@ size_t IndexedPartition::View::ProbeSecondary(
     }
     if (positions.empty()) break;
   }
-  const PayloadDirectory& dir = *secondary_->directory;
+  const PayloadDirectory& dir = *cut.directory;
   for (uint32_t pos : positions) out->push_back(dir.At(pos));
-  local.from_index = positions.size();
+  local.rows_examined = positions.size();
   local.matches = positions.size();
-  local.rows_avoided =
-      static_cast<size_t>(secondary_->covered) - positions.size();
-
-  // Unindexed suffix: rows appended between the cut's publish boundary and
-  // this view's watermark (possibly none). Snapshot() captured the cut
-  // before the watermark, so the suffix starts at or before the watermark.
-  ScanRawFrom(secondary_->boundary, scan_match);
+  local.rows_avoided = static_cast<size_t>(cut.covered) - positions.size();
   if (stats != nullptr) *stats = local;
   return local.matches;
 }
@@ -618,10 +576,10 @@ size_t IndexedPartition::View::ProbeSecondary(
 uint64_t IndexedPartition::View::EstimateProbeMatches(const SecondaryProbe& probe,
                                                       bool* has_index) const {
   const SecondaryIndexCut::Entry* entry =
-      secondary_ != nullptr ? secondary_->Find(probe.column) : nullptr;
+      FindEntry(secondary_cut(), probe.column);
   if (!EntryServes(entry, probe)) {
     *has_index = false;
-    return watermark_.num_rows;
+    return num_rows();
   }
   *has_index = true;
   uint64_t est = 0;
@@ -631,15 +589,11 @@ uint64_t IndexedPartition::View::EstimateProbeMatches(const SecondaryProbe& prob
     est = entry->range->CountInRange(probe.lo, probe.lo_inclusive, probe.hi,
                                      probe.hi_inclusive);
   }
-  // Suffix rows are unindexed; count them all as matches so the estimate
-  // errs toward the scan when the index lags far behind.
-  est += watermark_.num_rows - secondary_->covered;
   return est;
 }
 
 SecondaryIndexKind IndexedPartition::View::SecondaryKindOf(int column) const {
-  const SecondaryIndexCut::Entry* entry =
-      secondary_ != nullptr ? secondary_->Find(column) : nullptr;
+  const SecondaryIndexCut::Entry* entry = FindEntry(secondary_cut(), column);
   if (entry == nullptr) return SecondaryIndexKind::kNone;
   return entry->spec.kind;
 }

@@ -20,10 +20,12 @@
 //
 // Concurrency: appends and compaction are serialized per partition (the
 // owner, IndexedRelation, holds the partition write lock); reads are
-// lock-free and proceed concurrently with appends. A View captures a CTrie
-// snapshot plus a store watermark, giving queries a consistent version
-// while the update stream keeps appending — the paper's "updates with
-// multi-version concurrency".
+// lock-free and proceed concurrently with appends. Every commit ends by
+// publishing one immutable CommitRecord (store watermark + secondary-index
+// cut) with a single release store. A View is that record plus its
+// generation: it reads the store up to the watermark and the generation's
+// live cTrie, skipping chain links past the watermark — the paper's
+// "updates with multi-version concurrency" over an append-only store.
 #pragma once
 
 #include <atomic>
@@ -96,12 +98,10 @@ class PayloadDirectory {
 };
 using PayloadDirectoryPtr = std::shared_ptr<const PayloadDirectory>;
 
-/// Immutable snapshot of every secondary index of one partition, published
-/// after each append batch. A probe against a view = the cut's positions
-/// (all < `covered`) plus a linear scan of the store suffix between
-/// `boundary` and the view's watermark — so probe results are always
-/// exactly the rows a full scan of the same view would match, even when
-/// the view's watermark ran ahead of the last published cut.
+/// Immutable snapshot of every secondary index of one partition, built at
+/// the end of each commit and published inside its CommitRecord. It covers
+/// exactly the rows below the record's watermark, so a probe against a
+/// view returns exactly the rows a full scan of the same view would match.
 struct SecondaryIndexCut {
   struct Entry {
     SecondaryIndexSpec spec;
@@ -109,9 +109,7 @@ struct SecondaryIndexCut {
     RangeIndexCutPtr range;    ///< set iff spec.kind == kRange
   };
   std::vector<Entry> entries;
-  uint64_t covered = 0;    ///< append ordinals [0, covered) are indexed
-  StoreWatermark boundary; ///< store watermark of the covered prefix
-  uint64_t epoch = 0;      ///< publish sequence within the generation
+  uint64_t covered = 0;  ///< append ordinals [0, covered) are indexed
   PayloadDirectoryPtr directory;
 
   const Entry* Find(int column) const {
@@ -138,8 +136,8 @@ struct SecondaryMaintenanceStats {
 };
 
 /// The secondary indexes of one partition generation: appender-owned
-/// builders plus the last published immutable cut. Builders are mutated
-/// only under the partition write lock; `cut()` is lock-free.
+/// builders, mutated only under the partition write lock. Readers see them
+/// only through the immutable cuts the commit records carry.
 class SecondaryIndexSet {
  public:
   SecondaryIndexSet(SchemaPtr schema, std::vector<SecondaryIndexSpec> specs);
@@ -149,18 +147,13 @@ class SecondaryIndexSet {
   void StageRow(const uint8_t* payload) { directory_->Append(payload); }
 
   /// Appender-only: feeds every staged-but-unindexed row to the builders
-  /// and publishes a fresh cut whose covered prefix corresponds to
-  /// `boundary` (the store watermark right after the batch committed).
-  SecondaryMaintenanceStats PublishCut(StoreWatermark boundary);
+  /// and returns a fresh cut covering every staged row (the commit hands it
+  /// to its CommitRecord). Adds the maintenance cost to `stats`.
+  SecondaryIndexCutPtr BuildCut(SecondaryMaintenanceStats* stats);
 
   /// Appender-only: collapses each range index's sorted runs into one
-  /// (compaction's rebuild finisher; call before the final PublishCut).
+  /// (compaction's rebuild finisher; call before the final BuildCut).
   void MergeRuns();
-
-  /// The last published cut (acquire; null before the first publish).
-  SecondaryIndexCutPtr cut() const {
-    return std::atomic_load_explicit(&cut_, std::memory_order_acquire);
-  }
 
   const std::vector<SecondaryIndexSpec>& specs() const { return specs_; }
 
@@ -173,18 +166,31 @@ class SecondaryIndexSet {
   std::shared_ptr<PayloadDirectory> directory_;
   uint64_t indexed_ = 0;  ///< rows already fed to the builders
   uint64_t epoch_ = 0;
-  std::shared_ptr<const SecondaryIndexCut> cut_;  // atomic_load/store
 };
 using SecondaryIndexSetPtr = std::shared_ptr<SecondaryIndexSet>;
 
 /// Counters of one View::ProbeSecondary call (feed QueryMetrics).
 struct SecondaryProbeStats {
-  size_t matches = 0;         ///< payloads emitted
-  size_t from_index = 0;      ///< emitted straight from index positions
-  size_t suffix_scanned = 0;  ///< unindexed suffix rows examined
-  size_t rows_avoided = 0;    ///< indexed rows never examined (covered - hits)
-  bool used_index = false;    ///< false = fell back to a full scan
+  size_t matches = 0;        ///< payloads emitted
+  size_t rows_examined = 0;  ///< index hits, or every row of a full scan
+  size_t rows_avoided = 0;   ///< indexed rows never examined (covered - hits)
+  bool used_index = false;   ///< false = fell back to a full scan
 };
+
+/// One committed version of a partition generation. Every commit (append,
+/// batch, index registration, compaction rewrite) ends by publishing a
+/// fresh record with one release store, under the partition write lock and
+/// after the commit's row bytes, cTrie heads, block seals and secondary
+/// cut. A reader that acquires it may therefore read every row below
+/// `watermark`, the first watermark.num_rows / kBlockRows directory blocks,
+/// every cTrie chain link the watermark covers, and the cut.
+struct CommitRecord {
+  StoreWatermark watermark;
+  /// Cut of every secondary index, covering exactly the rows below the
+  /// watermark (null when the generation has none).
+  SecondaryIndexCutPtr secondary;
+};
+using CommitRecordPtr = std::shared_ptr<const CommitRecord>;
 
 /// One immutable-once-retired version of a partition's storage: the row
 /// batches plus the cTrie indexing them. The live generation is appended
@@ -194,8 +200,21 @@ struct SecondaryProbeStats {
 struct PartitionGeneration {
   PartitionGeneration(const Schema& schema, size_t batch_bytes,
                       size_t max_row_bytes)
-      : store(batch_bytes, max_row_bytes), blocks(schema) {}
+      : store(batch_bytes, max_row_bytes),
+        blocks(schema),
+        record_(std::make_shared<const CommitRecord>()) {}
   IDF_DISALLOW_COPY_AND_ASSIGN(PartitionGeneration);
+
+  /// Ends a commit (appender/compactor only): indexes the staged rows into
+  /// a fresh secondary cut, when the generation has secondary indexes, and
+  /// publishes the record of everything committed so far. Returns the
+  /// secondary-index maintenance cost.
+  SecondaryMaintenanceStats Commit();
+
+  /// The last published commit record (acquire; never null).
+  CommitRecordPtr record() const {
+    return std::atomic_load_explicit(&record_, std::memory_order_acquire);
+  }
 
   /// Appends one encoded row to the store and registers it with the block
   /// directory (appender/compactor only).
@@ -235,13 +254,10 @@ struct PartitionGeneration {
   /// Block directory over `store`: one entry with a zone map per sealed
   /// block of BlockDirectory::kBlockRows rows (scans walk and prune by it).
   BlockDirectory blocks;
-  // ReadOnlySnapshot() CASes the trie root (RDCSS) without changing the
-  // logical contents; snapshots from const contexts are fine.
-  mutable CTrie index;
+  CTrie index;
 
   /// Secondary indexes of this generation (null when the table has none).
-  /// Swapped only by AddSecondaryIndexLocked (under the partition write
-  /// lock); read lock-free by Snapshot() via atomic_load.
+  /// Appender-owned (partition write lock); readers use the record's cut.
   SecondaryIndexSetPtr secondary;
 
   /// Per-key chain bookkeeping maintained at append time and rebuilt by
@@ -253,6 +269,9 @@ struct PartitionGeneration {
     uint32_t last_batch = 0;   // batch of the newest row on the chain
   };
   std::unordered_map<uint64_t, KeyStat> key_stats;
+
+ private:
+  CommitRecordPtr record_;  // atomic_load/atomic_store
 };
 using PartitionGenerationPtr = std::shared_ptr<PartitionGeneration>;
 
@@ -329,18 +348,18 @@ class IndexedPartition {
                      AppendBatchResult* result = nullptr);
 
   /// Registers a secondary index on `spec.column`, backfilling it from the
-  /// rows already in the live generation and publishing a first cut.
+  /// rows already in the live generation and committing a first cut.
   /// Caller must hold the partition write lock. Readers holding older
   /// views simply see no cut for the column and fall back to scanning.
   Status AddSecondaryIndexLocked(const SecondaryIndexSpec& spec);
 
-  /// The secondary-index specs of the live generation (lock-free; the spec
-  /// list of a set is immutable once installed).
+  /// The secondary-index specs of the live generation's last commit
+  /// (lock-free).
   std::vector<SecondaryIndexSpec> secondary_specs() const;
 
-  /// \brief A consistent read view: generation + cTrie snapshot + store
-  /// watermark. Holds its generation alive, so a view outlives compaction
-  /// of the partition it came from.
+  /// \brief A consistent read view: a generation plus one of its commit
+  /// records. Copyable; holds its generation alive, so a view outlives
+  /// compaction of the partition it came from.
   class View {
    public:
     /// All rows whose indexed column equals `key`, newest first (reverse
@@ -362,8 +381,8 @@ class IndexedPartition {
     template <typename Fn>
     size_t ForEachRawRow(const Value& key, Fn&& fn) const {
       if (key.is_null()) return 0;
-      std::optional<uint64_t> head = trie_.Lookup(key.Hash());
-      if (!head.has_value()) return 0;
+      PackedPointer ptr = FirstInView(key);
+      if (ptr.is_null()) return 0;
       const Schema& schema = *schema_;
       const int col = indexed_col_;
       const RowBatchStore& store = gen_->store;
@@ -377,7 +396,6 @@ class IndexedPartition {
           EncodeFixedKeySlot(schema.field(col).type, key, &want_slot);
       const size_t bitmap_bytes = EncodedBitmapBytes(schema.num_fields());
       size_t matched = 0;
-      PackedPointer ptr(*head);
       while (!ptr.is_null()) {
         const uint8_t* payload = store.PayloadAt(ptr);
         // Chain nodes are scattered across row batches, so the backward
@@ -408,15 +426,16 @@ class IndexedPartition {
     /// order; callers decode lazily (e.g. one filter column per row).
     void ScanRaw(const std::function<void(const uint8_t*)>& fn) const;
 
-    /// Blocks of this view, in append order: the sealed directory blocks
-    /// its snapshot captured, then — when rows follow them — the open tail
-    /// as one last block. Scans hand these out as morsels.
+    /// Blocks of this view, in append order: the directory blocks its
+    /// watermark covers (blocks seal inside the commit that adds their
+    /// last row), then — when rows follow them — the open tail as one last
+    /// block. Scans hand these out as morsels.
     uint64_t num_blocks() const {
-      return sealed_blocks_ + (TailRows() > 0 ? 1 : 0);
+      return SealedBlocks() + (TailRows() > 0 ? 1 : 0);
     }
 
     /// True for a sealed block (it has a zone map); false for the tail.
-    bool BlockSealed(uint64_t b) const { return b < sealed_blocks_; }
+    bool BlockSealed(uint64_t b) const { return b < SealedBlocks(); }
 
     /// Zone map of sealed block `b`.
     BlockZoneMap ZoneMap(uint64_t b) const { return gen_->blocks.ZoneMap(b); }
@@ -438,8 +457,8 @@ class IndexedPartition {
       BlockDirectory::Location start;
       if (BlockSealed(b)) {
         start = gen_->blocks.entry(b).first;
-      } else if (sealed_blocks_ > 0) {
-        start = gen_->blocks.entry(sealed_blocks_ - 1).end;
+      } else if (SealedBlocks() > 0) {
+        start = gen_->blocks.entry(SealedBlocks() - 1).end;
       }
       WalkRows(start, BlockRows(b),
                [out](const uint8_t* payload) { out->push_back(payload); });
@@ -452,54 +471,52 @@ class IndexedPartition {
 
     /// Probes one or more ANDed secondary-index predicates: emits — in
     /// append order, exactly as a full ScanRaw + predicate would — the
-    /// payloads of every row in this view matching ALL of `probes`. Rows
-    /// covered by the captured cut come from the indexes' position lists
-    /// (several probes intersect sorted positions — the bitmap-AND path);
-    /// rows appended between the cut's boundary and this view's watermark
-    /// are found by a linear suffix scan. Falls back to a full scan
-    /// (used_index=false) when the view lacks an index for any probe's
-    /// column. Returns the match count.
+    /// payloads of every row in this view matching ALL of `probes`, from
+    /// the cut's position lists (several probes intersect sorted positions
+    /// — the bitmap-AND path). Falls back to a full scan (used_index=false)
+    /// when the view lacks an index for any probe's column. Returns the
+    /// match count.
     size_t ProbeSecondary(const std::vector<SecondaryProbe>& probes,
                           std::vector<const uint8_t*>* out,
                           SecondaryProbeStats* stats = nullptr) const;
 
-    /// Estimated matches of `probe` against this view: index statistics
-    /// for the covered prefix, plus every suffix row (conservative).
-    /// `has_index=false` (and a full num_rows() estimate) when the view
-    /// has no index on the probe's column.
+    /// Estimated matches of `probe` against this view from its cut's
+    /// index statistics. `has_index=false` (and a full num_rows()
+    /// estimate) when the view has no index on the probe's column.
     uint64_t EstimateProbeMatches(const SecondaryProbe& probe,
                                   bool* has_index) const;
 
     /// Kind of the secondary index this view carries on `column`.
     SecondaryIndexKind SecondaryKindOf(int column) const;
 
-    size_t num_rows() const { return watermark_.num_rows; }
+    size_t num_rows() const { return watermark().num_rows; }
 
     /// The store watermark this view reads up to (diagnostics and tests).
-    const StoreWatermark& watermark() const { return watermark_; }
+    const StoreWatermark& watermark() const { return record_->watermark; }
 
     /// The generation this view reads (compaction/reclamation tests).
     const PartitionGenerationPtr& generation() const { return gen_; }
 
-    /// The secondary-index cut this view probes (null when none existed at
-    /// capture; diagnostics and tests).
-    const SecondaryIndexCutPtr& secondary_cut() const { return secondary_; }
+    /// The secondary-index cut this view probes (null when the generation
+    /// had no secondary index at this commit; diagnostics and tests).
+    const SecondaryIndexCutPtr& secondary_cut() const {
+      return record_->secondary;
+    }
 
    private:
     friend class IndexedPartition;
     View(SchemaPtr schema, int indexed_col, PartitionGenerationPtr gen,
-         CTrie trie, StoreWatermark wm, SecondaryIndexCutPtr secondary,
-         uint64_t sealed_blocks)
+         CommitRecordPtr record)
         : schema_(std::move(schema)),
           indexed_col_(indexed_col),
           gen_(std::move(gen)),
-          trie_(std::move(trie)),
-          watermark_(wm),
-          secondary_(std::move(secondary)),
-          sealed_blocks_(sealed_blocks) {}
+          record_(std::move(record)) {}
 
+    uint64_t SealedBlocks() const {
+      return num_rows() / BlockDirectory::kBlockRows;
+    }
     size_t TailRows() const {
-      return watermark_.num_rows - BlockFirstRow(sealed_blocks_);
+      return num_rows() - BlockFirstRow(SealedBlocks());
     }
 
     template <typename Fn>
@@ -507,24 +524,36 @@ class IndexedPartition {
       gen_->ForEachRow(*schema_, start, count, std::forward<Fn>(fn));
     }
 
-    bool InView(PackedPointer ptr) const;
+    /// True when the row `ptr` addresses lies below this view's watermark.
+    bool InView(PackedPointer ptr) const {
+      const StoreWatermark& wm = watermark();
+      const uint32_t batches = ptr.batch() + 1;
+      if (batches != wm.num_batches) return batches < wm.num_batches;
+      return ptr.offset() < wm.last_batch_bytes;
+    }
 
-    /// ScanRaw starting at the row `from` points past (the suffix between
-    /// a cut's boundary and this view's watermark).
-    void ScanRawFrom(const StoreWatermark& from,
-                     const std::function<void(const uint8_t*)>& fn) const;
+    /// The newest link of `key`'s chain (non-null key) that this view
+    /// covers, or null. Reads the generation's live cTrie: links are in
+    /// append order, so the ones newer than the watermark form a prefix of
+    /// the chain and are skipped.
+    PackedPointer FirstInView(const Value& key) const {
+      std::optional<uint64_t> head = gen_->index.Lookup(key.Hash());
+      if (!head.has_value()) return PackedPointer::Null();
+      PackedPointer ptr(*head);
+      while (!ptr.is_null() && !InView(ptr)) {
+        ptr = gen_->store.BackPointerAt(ptr);
+      }
+      return ptr;
+    }
 
     SchemaPtr schema_;
     int indexed_col_;
     PartitionGenerationPtr gen_;
-    CTrie trie_;
-    StoreWatermark watermark_;
-    SecondaryIndexCutPtr secondary_;
-    uint64_t sealed_blocks_;  ///< directory blocks sealed at capture
+    CommitRecordPtr record_;
   };
 
-  /// Captures a consistent read view (O(1): generation pointer copy, cTrie
-  /// read-only snapshot, two atomic loads). Thread-safe, lock-free.
+  /// Captures a consistent read view: two acquire loads (the generation,
+  /// then its commit record). Thread-safe, lock-free, allocation-free.
   View Snapshot() const;
 
   /// Convenience: lookup against a fresh snapshot.
@@ -558,8 +587,8 @@ class IndexedPartition {
   /// Memory accounting for the paper's "low memory overhead" claim:
   /// `index_bytes` is the live cTrie structure plus the block directory;
   /// `arena_bytes` includes retired nodes the trie arena holds until the
-  /// snapshot family dies (the cost of the leak-until-destruction
-  /// reclamation strategy).
+  /// generation dies (the cost of the leak-until-destruction reclamation
+  /// strategy: an insert path-copies the nodes it changes).
   size_t data_bytes() const { return gen()->store.used_bytes(); }
   size_t index_bytes() const {
     const PartitionGenerationPtr g = gen();

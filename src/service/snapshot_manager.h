@@ -10,23 +10,21 @@
 //    therefore run concurrently with each other, exactly as without the
 //    manager.
 //  - A pin holds the gate EXCLUSIVE while it captures the per-partition
-//    trie views of the indexes it pins. No batch can be mid-flight at
-//    that instant, so a reader never observes a torn batch: half of a
-//    multi-partition append, or a row present in one index of a table but
-//    missing from another.
+//    views (commit records) of the indexes it pins. No batch can be
+//    mid-flight at that instant, so a reader never observes a torn batch:
+//    half of a multi-partition append, or a row present in one index of a
+//    table but missing from another.
 //
-// Pinning is O(pinned partitions) pointer captures (the CTrie's O(1)
-// snapshot per partition), so the exclusive section is microseconds even
-// with many tables; appends are delayed by at most that.
+// Pinning is two acquire loads per pinned partition (its generation and
+// commit record), so the exclusive section is microseconds even with many
+// tables; appends are delayed by at most that.
 //
 // Each index keeps its last pin. While no batch has reached an index since
 // then, that pin is current and is handed out again: a pin whose indexes
 // are all current takes no gate at all. Readers therefore never wait
 // behind an in-flight append batch (its version bumps only land at
-// commit) and never re-pin an index no batch touched — which keeps reader
-// tail latency flat under a continuous append stream, and spares the
-// untouched index the path copies a fresh trie generation would cost its
-// next append.
+// commit) and never take the exclusive gate for an index no batch touched
+// — which keeps reader tail latency flat under a continuous append stream.
 #pragma once
 
 #include <atomic>
@@ -136,9 +134,9 @@ class SnapshotManager {
 
   /// Pins just `relations` (e.g. the indexes one query reads) at one epoch
   /// boundary: the latest committed epoch. An index no batch has reached
-  /// since its last pin keeps that pin — pinning again would only start a
-  /// new trie generation, which makes the index's next append path-copy —
-  /// and indexes a query does not read are never pinned on its behalf.
+  /// since its last pin keeps that pin — pinning again would only take the
+  /// exclusive gate for an identical version — and indexes a query does not
+  /// read are never pinned on its behalf.
   /// When every index still has a current pin, no gate is taken at all.
   EpochPins Pin(const std::vector<IndexedRelationPtr>& relations) {
     return PinIndexes(relations, /*require_sunk=*/false);

@@ -46,8 +46,8 @@ int ChooseSecondaryProbe(const std::vector<SecondaryProbeCandidate>& candidates,
 
 /// True when `v` (non-null) satisfies the probe's predicate: member of the
 /// key set for a bitmap probe, inside the bounds for a range probe. Used
-/// by the execution layer to filter index-uncovered suffix rows and by
-/// differential tests as the reference semantics.
+/// by the execution layer's full-scan fallback and by differential tests
+/// as the reference semantics.
 bool ProbeMatches(const SecondaryProbe& probe, const Value& v);
 
 }  // namespace idf

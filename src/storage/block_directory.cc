@@ -53,8 +53,7 @@ void BlockDirectory::Add(const uint8_t* payload, PackedPointer ptr,
 }
 
 void BlockDirectory::Seal(Location end) {
-  const uint64_t b = sealed_.load(std::memory_order_relaxed);
-  const Slot s = Locate(b);
+  const Slot s = Locate(sealed_);
   Chunk& c = chunks_[s.chunk];
   if (c.entries == nullptr) {
     const uint64_t n = kBaseBlocks << s.chunk;
@@ -72,9 +71,7 @@ void BlockDirectory::Seal(Location end) {
   }
   open_ = Entry{};
   open_rows_ = 0;
-  // The release edge publishes the chunk pointer and the entry written
-  // above to readers that acquire the count.
-  sealed_.store(b + 1, std::memory_order_release);
+  ++sealed_;
 }
 
 }  // namespace idf

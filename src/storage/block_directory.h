@@ -7,14 +7,16 @@
 // across workers) and skip a block whose zone map proves a filter cannot be
 // TRUE on any of its rows (CompiledPredicate::MayMatch).
 //
-// Concurrency follows PayloadDirectory and the secondary-index cut: one
-// appender (the partition write lock) fills the open block privately and
-// seals it by copying it into a chunk, then publishes the sealed count with
-// release ordering. Readers acquire the count when they snapshot (before
-// the store watermark) and touch only entries below it; the open tail block
-// — the rows past the last sealed block — has no entry yet and is always
-// scanned. Chunks grow geometrically (chunk c holds kBaseBlocks << c
-// entries) inside a fixed slot array, so no published entry ever moves.
+// Concurrency: one appender (the partition write lock) fills the open
+// block privately and seals it by copying it into a chunk on the block's
+// kBlockRows-th Add, inside the commit that adds that row. The commit's
+// record (indexed/indexed_partition.h) publishes the entries with its
+// release store, so a reader derives the sealed count from the record's
+// watermark — num_rows / kBlockRows — and touches only entries below it;
+// the open tail block — the rows past the last sealed block — has no entry
+// yet and is always scanned. Chunks grow geometrically (chunk c holds
+// kBaseBlocks << c entries) inside a fixed slot array, so no published
+// entry ever moves.
 #pragma once
 
 #include <atomic>
@@ -90,17 +92,17 @@ class BlockDirectory {
   /// publishes the open block when it reaches kBlockRows rows.
   void Add(const uint8_t* payload, PackedPointer ptr, uint32_t size);
 
-  /// Sealed blocks (acquire): entries [0, sealed()) are readable, and they
-  /// cover exactly the first sealed() * kBlockRows rows of the store.
-  uint64_t sealed() const { return sealed_.load(std::memory_order_acquire); }
+  /// Sealed blocks, appender-side: they cover exactly the first
+  /// sealed() * kBlockRows rows of the store.
+  uint64_t sealed() const { return sealed_; }
 
-  /// Entry of sealed block `b` (b < an acquired sealed()).
+  /// Entry of sealed block `b` (b below a commit record's sealed count).
   const Entry& entry(uint64_t b) const {
     const Slot s = Locate(b);
     return chunks_[s.chunk].entries[s.index];
   }
 
-  /// Zone map of sealed block `b` (b < an acquired sealed()).
+  /// Zone map of sealed block `b` (b below a commit record's sealed count).
   BlockZoneMap ZoneMap(uint64_t b) const {
     const Slot s = Locate(b);
     const Chunk& c = chunks_[s.chunk];
@@ -145,7 +147,7 @@ class BlockDirectory {
   std::vector<Tracked> tracked_;
   std::vector<int16_t> stat_of_col_;
   Chunk chunks_[kMaxChunks];
-  std::atomic<uint64_t> sealed_{0};
+  uint64_t sealed_ = 0;
   std::atomic<size_t> memory_bytes_{0};  // read by storage accounting
   // The open block (appender-private until Seal copies it out).
   uint32_t open_rows_ = 0;

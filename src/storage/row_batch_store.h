@@ -7,8 +7,9 @@
 // sequentially; IndexedRelation serializes appends per partition); readers
 // run lock-free and concurrently with the appender. Batches live in a
 // preallocated slot directory so the appender never relocates memory that
-// readers may be traversing; a StoreWatermark captured together with a
-// CTrie snapshot delimits one consistent version of the data.
+// readers may be traversing; a StoreWatermark, taken by the appender at
+// the end of a commit and published in the partition's commit record,
+// delimits one consistent version of the data.
 #pragma once
 
 #include <atomic>

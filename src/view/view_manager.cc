@@ -512,11 +512,9 @@ Result<ViewSubscriptionPtr> MaterializedViewManager::Subscribe(
     // column; without one the view still works, just by recomputation.
     // indexed_columns deliberately excludes bitmap/range secondary
     // indexes: incremental join maintenance walks per-key chains through
-    // a pinned trie arrangement, and a secondary index's position cut is
-    // published per append batch, not pinned per epoch — maintaining
-    // through one could read a cut newer than the view's epoch. A column
-    // that only carries a secondary index therefore downgrades the view
-    // to safe recomputation instead of risking a torn arrangement.
+    // a pinned primary-index arrangement, and a secondary index keeps
+    // row positions, not chains. A column that only carries a secondary
+    // index therefore downgrades the view to recomputation.
     auto has_index = [&infos](const std::string& table, int col) {
       for (const TableInfo& info : infos) {
         if (info.name != table) continue;

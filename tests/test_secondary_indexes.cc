@@ -201,7 +201,7 @@ TEST_F(SecondaryIndexTest, UnselectivePredicateChoosesVectorizedScan) {
   EXPECT_EQ(session_->metrics().bitmap_probes(), 0u);
 }
 
-// --- Appends: probes cover the cut and scan the uncovered suffix ----------
+// --- Appends: every commit's cut covers every row of its view -------------
 
 TEST_F(SecondaryIndexTest, ProbesStayExactAcrossAppendBatches) {
   for (int batch = 0; batch < 3; ++batch) {
@@ -252,8 +252,8 @@ TEST_F(SecondaryIndexTest, KindMismatchFallsBackToFullScan) {
 TEST_F(SecondaryIndexTest, SnapshotConsistentUnderLiveAppender) {
   // Appender thread lands batches while readers capture views and compare
   // the indexed probe against a full scan of the SAME view: both must see
-  // the identical frozen row set (cut + suffix = watermark). TSan verifies
-  // the cut's publish edge.
+  // the identical frozen row set (the cut covers the watermark). TSan
+  // verifies the commit record's publish edge.
   std::atomic<bool> stop{false};
   std::atomic<int> batches{0};
   std::thread appender([&] {
@@ -291,8 +291,8 @@ TEST_F(SecondaryIndexTest, SnapshotConsistentUnderLiveAppender) {
             via_scan.push_back(payload);
           }
         });
-        // A mismatch here means the cut + suffix decomposition lost or
-        // duplicated a row (e.g. an unaligned suffix resume offset).
+        // A mismatch here means the view's cut and watermark disagree (a
+        // cut published apart from the record that covers it).
         ASSERT_EQ(via_index, via_scan);
       }
       // A view is immutable: probing it again after more appends landed

@@ -2,6 +2,7 @@
 // the query service): a pinned snapshot must sit exactly on an epoch
 // boundary — never half of a multi-partition batch, and never a row
 // present in one index of a multi-indexed table but missing from another.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -178,9 +179,8 @@ TEST(SnapshotIsolationTest, UntouchedTablesKeepTheirPinAcrossEpochs) {
 }
 
 // A scan of a two-index table reads one index; the other must not be
-// pinned on its behalf. A pin starts a new trie generation, so the next
-// append to a freshly pinned index path-copies and allocates more nodes
-// than one that runs against an unpinned trie.
+// pinned on its behalf (a pin it does not need would keep that index's
+// version alive and send its readers through the exclusive gate).
 TEST(SnapshotIsolationTest, ScansPinOnlyTheIndexTheyRead) {
   auto service = QueryService::Make(SmallEngine()).ValueOrDie();
   auto session = Session::Make(SmallEngine().engine).ValueOrDie();
@@ -192,36 +192,28 @@ TEST(SnapshotIsolationTest, ScansPinOnlyTheIndexTheyRead) {
   IndexedRelationPtr by_owner = table->Index("owner").ValueOrDie().relation();
   SnapshotManager& mgr = service->snapshots();
 
-  int64_t next_id = kBatchRows;
-  auto nodes_of_next_append = [&] {
-    const size_t before = by_owner->arena_bytes();
-    EXPECT_TRUE(service->Append("posts", {{Value(next_id++), Value(int64_t{7})}}).ok());
-    return by_owner->arena_bytes() - before;
-  };
-  nodes_of_next_append();  // absorbs any pin taken while loading
+  // A pin holds every partition's generation; the manager keeps an
+  // index's last pin, so a pinned index shows one more holder.
+  auto holders = [&] { return by_owner->partition(0).gen().use_count(); };
+  const long unpinned = holders();
 
+  QueryResult scan = service->Execute("SELECT COUNT(*) FROM posts");
+  ASSERT_TRUE(scan.ok()) << scan.status.ToString();
+  EXPECT_EQ(holders(), unpinned);
   const uint64_t handle =
       service->Prepare("SELECT COUNT(*) FROM posts WHERE id >= ?").ValueOrDie().handle;
-  const size_t after_scan = [&] {
-    QueryResult scan = service->Execute("SELECT COUNT(*) FROM posts");
-    EXPECT_TRUE(scan.ok()) << scan.status.ToString();
-    return nodes_of_next_append();
-  }();
-  const size_t after_prepared_scan = [&] {
-    QueryResult scan = service->ExecutePrepared(handle, {Value(int64_t{0})});
-    EXPECT_TRUE(scan.ok()) << scan.status.ToString();
-    EXPECT_EQ(scan.rows[0][0], Value(int64_t{kBatchRows + 2}));
-    return nodes_of_next_append();
-  }();
+  QueryResult prepared = service->ExecutePrepared(handle, {Value(int64_t{0})});
+  ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+  EXPECT_EQ(prepared.rows[0][0], Value(int64_t{kBatchRows}));
+  EXPECT_EQ(holders(), unpinned);
   mgr.Pin({by_owner});
-  const size_t after_pin = nodes_of_next_append();
-  EXPECT_LT(after_scan, after_pin);
-  EXPECT_LT(after_prepared_scan, after_pin);
+  EXPECT_EQ(holders(), unpinned + 1);
 }
 
 // A pin that has gone stale is never handed out again; keeping it would
-// only hold its retired trie generation alive. The next exclusive pin
-// section drops it, even when no query reads that index any more.
+// only hold an old version (after compaction, a retired generation)
+// alive. The next exclusive pin section drops it, even when no query reads
+// that index any more.
 TEST(SnapshotIsolationTest, StalePinsOfUnreadIndexesAreReleased) {
   auto service = QueryService::Make(SmallEngine()).ValueOrDie();
   auto session = Session::Make(SmallEngine().engine).ValueOrDie();
@@ -278,6 +270,65 @@ TEST(SnapshotIsolationTest, SqlReadersSeeOnlyEpochBoundaries) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_GT(reads.load(), 0);
+}
+
+// A view answers a lookup with exactly the rows its scan sees. Every row of
+// each appended batch carries one key, so a view whose watermark lands
+// inside a batch's commit must find on that key's chain exactly the rows
+// its scan finds — no fewer (heads published after the watermark moved)
+// and no more. Rounds on fresh relations keep each view's scan short, so
+// readers take many views per batch.
+TEST(SnapshotIsolationTest, ViewLookupEqualsItsScanUnderAppends) {
+  constexpr int kRounds = 100;
+  constexpr int kBatchesPerRound = 40;
+  auto session = Session::Make(SmallEngine().engine).ValueOrDie();
+  auto df = session->CreateDataFrame(TwoColSchema(), Batch(0), "t").ValueOrDie();
+  const Value key(int64_t{7});
+  IndexedRelationPtr current;  // atomic_load/atomic_store
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> views{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        IndexedRelationPtr rel = std::atomic_load(&current);
+        if (rel == nullptr) continue;
+        const Schema& schema = *rel->schema();
+        IndexedPartition::View view =
+            rel->partition(rel->partitioner().PartitionOf(key)).Snapshot();
+        std::vector<const uint8_t*> scanned;
+        view.ScanRaw([&](const uint8_t* payload) {
+          if (DecodeColumn(payload, schema, 1) == key) scanned.push_back(payload);
+        });
+        std::vector<const uint8_t*> looked_up;
+        view.GetRawRows(key, &looked_up);
+        std::reverse(looked_up.begin(), looked_up.end());  // to append order
+        if (looked_up != scanned) mismatches.fetch_add(1);
+        views.fetch_add(1);
+      }
+    });
+  }
+
+  for (int round = 0; round < kRounds; ++round) {
+    IndexedRelationPtr rel = IndexedDataFrame::CreateIndex(df, 1, "t_by_owner")
+                                 .ValueOrDie()
+                                 .relation();
+    std::atomic_store(&current, rel);
+    for (int b = 1; b <= kBatchesPerRound; ++b) {
+      RowVec rows;
+      rows.reserve(kBatchRows);
+      for (int64_t i = 0; i < kBatchRows; ++i) {
+        rows.push_back({Value(b * kBatchRows + i), key});
+      }
+      ASSERT_TRUE(rel->AppendRows(session->exec(), rows).ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0) << "of " << views.load() << " views";
+  EXPECT_GT(views.load(), 0);
 }
 
 }  // namespace
